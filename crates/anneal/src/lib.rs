@@ -11,12 +11,18 @@
 //!   ("satisfied by circuits" in the paper's words),
 //! * [`engine`] — a generic seeded Metropolis driver with best-so-far
 //!   tracking, first-solution-hit recording (for time-to-solution) and an
-//!   optional energy trace,
+//!   optional energy trace; it re-evaluates every candidate from scratch
+//!   and is the *reference* driver (equivalence checks and the
+//!   software-exact ablation),
 //! * [`delta`] — the incremental-evaluation subsystem: the
 //!   [`delta::DeltaEnergy`] trait (`propose → commit/revert`), the
 //!   matching driver [`delta::simulated_annealing_delta`], and the
 //!   [`delta::PairwiseSum`] reduction tree that keeps incremental sums
-//!   bit-identical to full re-evaluation.
+//!   bit-identical to full re-evaluation. This is the *production* driver:
+//!   every hardware C-Nash run takes it, whatever the game size.
+//!
+//! Both drivers consume the RNG identically, so the same options and
+//! initial state give the same walk whenever the energies agree.
 //!
 //! The hardware-in-the-loop objective (bi-crossbar + WTA) is composed on
 //! top of this by `cnash-core`.
@@ -46,12 +52,10 @@
 //! assert!(run.first_hit.is_some());
 //! ```
 
-pub mod adaptive;
 pub mod delta;
 pub mod engine;
 pub mod moves;
 pub mod schedule;
-pub mod tempering;
 
 pub use delta::{simulated_annealing_delta, DeltaEnergy, PairwiseSum};
 pub use engine::{simulated_annealing, SaOptions, SaRun};

@@ -3,14 +3,17 @@
 //!
 //! `cargo run --release -p cnash-bench --bin perf -- [--quick] [--out PATH]`
 //!
-//! Times the two production hot paths across a grid of game sizes and
-//! payoff/coupling densities:
+//! Times each reference evaluator against its production incremental
+//! counterpart across a grid of game sizes and payoff/coupling
+//! densities:
 //!
-//! * **bi-crossbar**: `CNashSolver::evaluate` per proposal (full two-phase
-//!   read, `O(n·m)`) vs `CNashSolver::delta_evaluator` +
-//!   `simulated_annealing_delta` (`O((n+m)·log nm)`),
-//! * **QUBO**: `anneal` (`O(n)` row scan per proposal) vs
-//!   `anneal_incremental` (cached local fields, `O(1)` per proposal).
+//! * **bi-crossbar**: the reference `CNashSolver::evaluate` per proposal
+//!   (full two-phase read, `O(n·m)`) vs the production
+//!   `CNashSolver::delta_evaluator` + `simulated_annealing_delta`
+//!   (`O((n+m)·log nm)`), the only path `CNashSolver::run` takes,
+//! * **QUBO**: the reference `anneal` (`O(n)` row scan per proposal) vs
+//!   the production `anneal_incremental` (cached local fields, `O(1)`
+//!   per proposal).
 //!
 //! Emits `BENCH_sa_hotpath.json` (schema documented in the README,
 //! written with `cnash-runtime`'s JSON writer so it parses with the same

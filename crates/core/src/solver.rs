@@ -4,7 +4,7 @@ use crate::config::CNashConfig;
 use crate::error::CoreError;
 use crate::timing::CimTimingModel;
 use cnash_anneal::delta::simulated_annealing_delta;
-use cnash_anneal::engine::{simulated_annealing, SaOptions};
+use cnash_anneal::engine::{simulated_annealing, SaOptions, SaRun};
 use cnash_anneal::moves::GridStrategyPair;
 use cnash_crossbar::{BiCrossbar, DeltaBiCrossbar, PhaseOneMax};
 use cnash_game::{BimatrixGame, Game, MixedStrategy, Profile};
@@ -100,11 +100,11 @@ impl PhaseOneMax for WtaMax<'_> {
     }
 }
 
-/// Payoff-matrix cell count (`n·m`) above which [`NashSolver::run`]
-/// drives the incremental delta evaluator instead of full per-proposal
-/// re-evaluation. 64 cells = the paper's largest benchmark (8×8), where
-/// the measured speedup straddles 1× — everything larger wins clearly
-/// (see `BENCH_sa_hotpath.json` trajectory in the README).
+/// Payoff-matrix cell count (`n·m`) of the paper's largest benchmark
+/// (8×8). It selects no evaluation path — [`NashSolver::run`] drives
+/// the delta evaluator at every size — and remains only as a reporting
+/// boundary: benchmarks split SA cost per iteration into games of at
+/// most this many cells and larger ones.
 pub const DELTA_EVAL_MIN_CELLS: usize = 64;
 
 /// The programmed hardware of a [`CNashSolver`]: the mapped bi-crossbar
@@ -260,6 +260,11 @@ impl CNashSolver {
     /// Phase 1 (MV reads + WTA maxima) then Phase 2 (VMV reads), combined
     /// by the SA logic (Fig. 6). Offsets cancel, so the value estimates
     /// the true Nash gap.
+    ///
+    /// This is the *reference* pipeline — a from-scratch `O(n·m)` read
+    /// per call, kept for equivalence checks and single-state studies.
+    /// Production runs ([`NashSolver::run`]) drive
+    /// [`CNashSolver::delta_evaluator`] instead.
     pub fn evaluate(&self, state: &GridStrategyPair) -> f64 {
         let pc = state.p_counts();
         let qc = state.q_counts();
@@ -287,7 +292,7 @@ impl CNashSolver {
     /// `state`: the same physics as [`CNashSolver::evaluate`], but a
     /// single-unit move updates only the touched rows/columns
     /// (`O((n+m)·log nm)` instead of `O(n·m)` per SA proposal). This is
-    /// the hot path [`NashSolver::run`] drives.
+    /// the evaluation path [`NashSolver::run`] drives at every game size.
     ///
     /// # Errors
     ///
@@ -310,58 +315,6 @@ impl CNashSolver {
         self.timing
             .iteration_latency(self.game.row_actions(), self.game.col_actions())
     }
-
-    fn initial_state(&self, seed: u64) -> GridStrategyPair {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_0101);
-        GridStrategyPair::random(
-            self.game.row_actions(),
-            self.game.col_actions(),
-            self.config.intervals,
-            &mut rng,
-        )
-        .expect("benchmark games have non-empty action sets")
-    }
-
-    /// Runs a *replica-exchange* (parallel tempering) search instead of
-    /// plain SA — an extension exploring the paper's convergence
-    /// future-work. The replicas time-multiplex the single bi-crossbar,
-    /// so the model time charges `replicas × sweeps` iterations.
-    pub fn run_tempered(&self, seed: u64, replicas: usize) -> RunOutcome {
-        use cnash_anneal::tempering::{parallel_tempering, TemperingOptions};
-        let sweeps = (self.config.iterations / replicas.max(1)).max(1);
-        let opts = TemperingOptions {
-            replicas,
-            t_cold: 0.005,
-            t_hot: 1.5,
-            sweeps,
-            swap_interval: 10,
-            seed,
-            target_energy: Some(self.config.gap_tolerance),
-        };
-        let run = parallel_tempering(
-            self.initial_state(seed),
-            |s| self.evaluate(s),
-            |s, rng| s.neighbour(rng),
-            &opts,
-        );
-        let p = run.best_state.p_strategy();
-        let q = run.best_state.q_strategy();
-        let lat = self.iteration_latency();
-        let solutions = run
-            .hit_states
-            .iter()
-            .map(|s| Profile::pair(s.p_strategy(), s.q_strategy()))
-            .collect();
-        RunOutcome {
-            is_equilibrium: self.game.is_equilibrium(&p, &q, 1e-6),
-            profile: Some(Profile::pair(p, q)),
-            hit_time: None, // exchange steps break the linear-time mapping
-            total_time: (sweeps * replicas) as f64 * lat,
-            measured_objective: run.best_energy,
-            solutions,
-            solutions_truncated: run.hits_truncated,
-        }
-    }
 }
 
 impl NashSolver for CNashSolver {
@@ -374,50 +327,71 @@ impl NashSolver for CNashSolver {
     }
 
     fn run(&self, seed: u64) -> RunOutcome {
-        let opts = SaOptions {
-            iterations: self.config.iterations,
-            schedule: self.config.schedule,
+        sa_run(
+            &self.game,
+            &self.config,
+            self.iteration_latency(),
             seed,
-            target_energy: Some(self.config.gap_tolerance),
-            record_trace: false,
-            record_hits: true,
-        };
-        let init = self.initial_state(seed);
-        // The incremental evaluator's fixed per-proposal overhead (read
-        // requantization, WTA re-reduction, undo bookkeeping) only
-        // amortises once the full two-phase read it replaces is large
-        // enough; BENCH_sa_hotpath.json puts the crossover around 8×8.
-        // Below it — the paper's own benchmark games — the classic full
-        // re-evaluation stays the faster production path.
-        let sa = if self.game.row_actions() * self.game.col_actions() > DELTA_EVAL_MIN_CELLS {
-            let mut evaluator = self
-                .delta_evaluator(init)
-                .expect("initial state matches the hardware geometry");
-            simulated_annealing_delta(&mut evaluator, &opts)
-        } else {
-            simulated_annealing(init, |s| self.evaluate(s), |s, rng| s.neighbour(rng), &opts)
-        };
-        // Algorithm 1 returns the final accepted strategy pair. (Tracking
-        // the measured-best state instead would let static read-noise
-        // outliers dominate — a solver on real hardware cannot tell a
-        // noise-depressed reading from a true optimum.)
-        let p = sa.final_state.p_strategy();
-        let q = sa.final_state.q_strategy();
-        let lat = self.iteration_latency();
-        let solutions = sa
-            .hit_states
-            .iter()
-            .map(|s| Profile::pair(s.p_strategy(), s.q_strategy()))
-            .collect();
-        RunOutcome {
-            is_equilibrium: self.game.is_equilibrium(&p, &q, 1e-6),
-            profile: Some(Profile::pair(p, q)),
-            hit_time: sa.first_hit.map(|k| k as f64 * lat),
-            total_time: sa.iterations as f64 * lat,
-            measured_objective: sa.final_energy,
-            solutions,
-            solutions_truncated: sa.hits_truncated,
-        }
+            self.config.gap_tolerance,
+            |init, opts| {
+                let mut evaluator = self
+                    .delta_evaluator(init)
+                    .expect("initial state matches the hardware geometry");
+                simulated_annealing_delta(&mut evaluator, opts)
+            },
+        )
+    }
+}
+
+/// One seeded SA run of Algorithm 1 on `game`'s strategy grid, shared
+/// by C-Nash and its ideal ablation: draws the random initial state,
+/// lets `walk` anneal it under `config`'s budget and schedule, and
+/// assembles the outcome with model time charged at `latency` per
+/// iteration.
+fn sa_run(
+    game: &BimatrixGame,
+    config: &CNashConfig,
+    latency: f64,
+    seed: u64,
+    target: f64,
+    walk: impl FnOnce(GridStrategyPair, &SaOptions) -> SaRun<GridStrategyPair>,
+) -> RunOutcome {
+    let opts = SaOptions {
+        iterations: config.iterations,
+        schedule: config.schedule,
+        seed,
+        target_energy: Some(target),
+        record_trace: false,
+        record_hits: true,
+    };
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_0101);
+    let init = GridStrategyPair::random(
+        game.row_actions(),
+        game.col_actions(),
+        config.intervals,
+        &mut rng,
+    )
+    .expect("games have non-empty action sets");
+    let sa = walk(init, &opts);
+    // Algorithm 1 returns the final accepted strategy pair. (Tracking
+    // the measured-best state instead would let static read-noise
+    // outliers dominate — a solver on real hardware cannot tell a
+    // noise-depressed reading from a true optimum.)
+    let p = sa.final_state.p_strategy();
+    let q = sa.final_state.q_strategy();
+    let solutions = sa
+        .hit_states
+        .iter()
+        .map(|s| Profile::pair(s.p_strategy(), s.q_strategy()))
+        .collect();
+    RunOutcome {
+        is_equilibrium: game.is_equilibrium(&p, &q, 1e-6),
+        profile: Some(Profile::pair(p, q)),
+        hit_time: sa.first_hit.map(|k| k as f64 * latency),
+        total_time: sa.iterations as f64 * latency,
+        measured_objective: sa.final_energy,
+        solutions,
+        solutions_truncated: sa.hits_truncated,
     }
 }
 
@@ -460,42 +434,20 @@ impl NashSolver for IdealSolver {
     }
 
     fn run(&self, seed: u64) -> RunOutcome {
-        let opts = SaOptions {
-            iterations: self.config.iterations,
-            schedule: self.config.schedule,
-            seed,
-            target_energy: Some(self.config.gap_tolerance.max(1e-9)),
-            record_trace: false,
-            record_hits: true,
-        };
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_0101);
-        let init = GridStrategyPair::random(
-            self.game.row_actions(),
-            self.game.col_actions(),
-            self.config.intervals,
-            &mut rng,
-        )
-        .expect("non-empty action sets");
-        let sa = simulated_annealing(init, |s| self.evaluate(s), |s, rng| s.neighbour(rng), &opts);
-        let p = sa.final_state.p_strategy();
-        let q = sa.final_state.q_strategy();
-        let lat = self
+        let latency = self
             .timing
             .iteration_latency(self.game.row_actions(), self.game.col_actions());
-        let solutions = sa
-            .hit_states
-            .iter()
-            .map(|s| Profile::pair(s.p_strategy(), s.q_strategy()))
-            .collect();
-        RunOutcome {
-            is_equilibrium: self.game.is_equilibrium(&p, &q, 1e-6),
-            profile: Some(Profile::pair(p, q)),
-            hit_time: sa.first_hit.map(|k| k as f64 * lat),
-            total_time: sa.iterations as f64 * lat,
-            measured_objective: sa.final_energy,
-            solutions,
-            solutions_truncated: sa.hits_truncated,
-        }
+        let target = self.config.gap_tolerance.max(1e-9);
+        sa_run(
+            &self.game,
+            &self.config,
+            latency,
+            seed,
+            target,
+            |init, opts| {
+                simulated_annealing(init, |s| self.evaluate(s), |s, rng| s.neighbour(rng), opts)
+            },
+        )
     }
 }
 
@@ -654,19 +606,46 @@ mod tests {
     }
 
     #[test]
-    fn tempered_mode_solves_benchmarks() {
-        let g = games::bird_game();
-        let s = CNashSolver::new(&g, CNashConfig::paper(12).with_iterations(12_000), 0).unwrap();
-        let mut ok = 0;
-        for seed in 0..5 {
-            let out = s.run_tempered(seed, 6);
-            if out.is_equilibrium {
-                ok += 1;
+    fn run_drives_the_delta_evaluator_on_small_games() {
+        // The paper's own games (≤ 64 cells) take the same incremental
+        // walk as large ones: `run` must be exactly the delta driver over
+        // `delta_evaluator` from the seeded initial state, under the full
+        // paper noise model.
+        for g in [games::bird_game(), games::modified_prisoners_dilemma()] {
+            assert!(g.row_actions() * g.col_actions() <= DELTA_EVAL_MIN_CELLS);
+            let s = CNashSolver::new(&g, CNashConfig::paper(12).with_iterations(2000), 5).unwrap();
+            let lat = s.iteration_latency();
+            for seed in 0..3u64 {
+                let opts = SaOptions {
+                    iterations: 2000,
+                    schedule: s.config().schedule,
+                    seed,
+                    target_energy: Some(s.config().gap_tolerance),
+                    record_trace: false,
+                    record_hits: true,
+                };
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_0101);
+                let init = GridStrategyPair::random(g.row_actions(), g.col_actions(), 12, &mut rng)
+                    .unwrap();
+                let mut evaluator = s.delta_evaluator(init).unwrap();
+                let sa = simulated_annealing_delta(&mut evaluator, &opts);
+                let (p, q) = (sa.final_state.p_strategy(), sa.final_state.q_strategy());
+                let expected = RunOutcome {
+                    is_equilibrium: g.is_equilibrium(&p, &q, 1e-6),
+                    profile: Some(Profile::pair(p, q)),
+                    hit_time: sa.first_hit.map(|k| k as f64 * lat),
+                    total_time: sa.iterations as f64 * lat,
+                    measured_objective: sa.final_energy,
+                    solutions: sa
+                        .hit_states
+                        .iter()
+                        .map(|h| Profile::pair(h.p_strategy(), h.q_strategy()))
+                        .collect(),
+                    solutions_truncated: sa.hits_truncated,
+                };
+                assert_eq!(s.run(seed), expected, "{} seed {seed}", g.name());
             }
-            // Time model charges all replicas.
-            assert!(out.total_time > 0.0);
         }
-        assert!(ok >= 3, "tempered mode solved only {ok}/5");
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub mod fefet;
 pub mod mlc;
 pub mod montecarlo;
 pub mod preisach;
-pub mod retention;
 pub mod variability;
 pub mod waveform;
 
