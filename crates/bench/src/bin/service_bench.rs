@@ -6,11 +6,16 @@
 //!
 //! Boots an in-process solver daemon, then measures end-to-end solve
 //! requests over TCP at several game sizes: one **cold** request that
-//! must program the bi-crossbar (the `O(n·m·I²·t)` device-sampling
-//! mapping pass), followed by repeated **identical** requests that hit
-//! the instance cache and skip programming entirely. Latencies are the
-//! server-reported `wall_ms` (program + batch execution, excluding
-//! network and JSON framing).
+//! must program the bi-crossbar, followed by repeated **identical**
+//! requests that hit the instance cache and skip programming entirely.
+//! Latencies are the server-reported `wall_ms` (program + batch
+//! execution, excluding network and JSON framing).
+//!
+//! Every request runs on hardware seed 0, so each size's cold row is
+//! the process's first draw of that seed's device stream past the cells
+//! the smaller sizes already drew: it samples devices, where a later
+//! cold build of another game on the same seed would mostly read the
+//! retained stream.
 //!
 //! Emits `BENCH_service.json` (same JSON tooling as the other
 //! `BENCH_*` artefacts). Exit status doubles as the CI gate:

@@ -111,8 +111,10 @@ pub const DELTA_EVAL_MIN_CELLS: usize = 64;
 /// and both WTA trees, shared by reference counting.
 ///
 /// Programming is the expensive part of instantiating a solver — the
-/// `O(n·m·I²·t)` device-sampling mapping pass — while everything else in
-/// a solver is cheap per-request state. A service that sees the same
+/// mapping pass reads `O(n·m·I²·t)` cells of the hardware seed's device
+/// stream (sampled on the seed's first build) into `O(n·m·(I+1)²)`
+/// prefix tables — while everything else in a solver is cheap
+/// per-request state. A service that sees the same
 /// game (by canonical fingerprint) twice extracts this with
 /// [`CNashSolver::programmed`] on the first request and rebuilds cheap
 /// solver handles around it with [`CNashSolver::from_programmed`] on

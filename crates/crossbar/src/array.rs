@@ -1,21 +1,24 @@
 //! One physical FeFET crossbar storing one payoff matrix.
 //!
 //! Every physical cell is a [`OneFeFetOneR`] with its own sampled device
-//! deviations. Because the read currents only ever appear in *sums over
+//! deviations. The deviations belong to the silicon, not the game: they
+//! come from a process-wide device stream per hardware seed, so a seed's
+//! first build samples the stream and later builds are `O(n·m·I²·t)`
+//! table reads. Because the read currents only ever appear in *sums over
 //! activated rectangles* (the unary mapping activates row and column-group
-//! prefixes), the array pre-computes 2-D prefix sums per payoff element:
-//! a full VMV read then costs `O(n·m)` lookups. The naive cell-by-cell
-//! readers are kept for verification and fault-injection studies and the
-//! tests assert the two paths agree to floating-point accuracy.
+//! prefixes), the array keeps only 2-D prefix sums per payoff element —
+//! `O(n·m·(I+1)²)` values — and a full VMV read costs `O(n·m)` lookups.
+//! The naive cell-by-cell reader re-derives the cells from the stream and
+//! is kept for verification and fault-injection studies; the tests assert
+//! the two paths agree to floating-point accuracy.
 
+use crate::bank::DeviceCells;
 use crate::error::CrossbarError;
 use crate::mapping::MappingSpec;
 use crate::offset::QuantizedPayoffs;
 use cnash_device::cell::{CellParams, OneFeFetOneR};
 use cnash_device::fefet::FeFetState;
 use cnash_device::variability::VariabilityModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// The calibrated unit current: the selected-'1' current of a *nominal*
 /// (deviation-free) cell. Sense amplification is referenced to this value,
@@ -34,9 +37,15 @@ pub fn unit_current(params: &CellParams) -> f64 {
 pub struct Crossbar {
     spec: MappingSpec,
     payoffs: QuantizedPayoffs,
-    /// Per-cell selected current (WL and DL active), row-major over the
-    /// physical `(I·n) × (I·t·m)` array.
-    cell_current: Vec<f64>,
+    /// Hardware seed, variability and cell design: together with the
+    /// stored bits they fix every cell current, which is re-read from
+    /// the device stream bank whenever it is needed.
+    seed: u64,
+    variability: VariabilityModel,
+    cell_params: CellParams,
+    /// Injected faults as `(stream cell index, forced current)`, sorted
+    /// by index; a fault overrides the cell's sampled current.
+    faults: Vec<(usize, f64)>,
     /// Per-element `(I+1)×(I+1)` prefix tables, element-major.
     prefix: Vec<f64>,
     /// Column-major mirror of `prefix` (same values, elements ordered
@@ -61,9 +70,10 @@ pub struct Crossbar {
 impl Crossbar {
     /// Builds a crossbar from quantized payoffs.
     ///
-    /// Device deviations are sampled from `variability` with the given
-    /// `seed`, one sample per physical cell, so the same seed reproduces
-    /// the same silicon instance.
+    /// Device deviations are the first `n·m·I²·t` draws of `variability`
+    /// from `StdRng::seed_from_u64(seed)`, one sample per physical cell,
+    /// so the same seed reproduces the same silicon instance whatever
+    /// game it stores.
     ///
     /// # Errors
     ///
@@ -77,36 +87,25 @@ impl Crossbar {
         seed: u64,
     ) -> Result<Self, CrossbarError> {
         let (n, m) = (payoffs.rows(), payoffs.cols());
-        let (phys_rows, phys_cols) = spec.physical_size(n, m);
-        let i = spec.intervals as usize;
-        let t = spec.cells_per_element as usize;
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut cell_current = vec![0.0; phys_rows * phys_cols];
         for ei in 0..n {
             for ej in 0..m {
                 let value = payoffs.entry(ei, ej);
-                let pattern = spec.unary_pattern(value)?;
-                for r in 0..i {
-                    let phys_r = ei * i + r;
-                    for g in 0..i {
-                        for (k, &bit) in pattern.iter().enumerate() {
-                            let phys_c = ej * i * t + g * t + k;
-                            let sample = variability.sample(&mut rng);
-                            let cell =
-                                OneFeFetOneR::new(FeFetState::from_bit(bit), cell_params, sample);
-                            cell_current[phys_r * phys_cols + phys_c] =
-                                cell.output_current(true, true);
-                        }
-                    }
+                if value > spec.cells_per_element {
+                    return Err(CrossbarError::ElementOverflow {
+                        value,
+                        cells_per_element: spec.cells_per_element,
+                    });
                 }
             }
         }
-
+        let (phys_rows, phys_cols) = spec.physical_size(n, m);
         let mut xbar = Self {
             spec,
             payoffs,
-            cell_current,
+            seed,
+            variability,
+            cell_params,
+            faults: Vec::new(),
             prefix: Vec::new(),
             prefix_colmajor: Vec::new(),
             mv_prefix: Vec::new(),
@@ -119,33 +118,61 @@ impl Crossbar {
         Ok(xbar)
     }
 
-    /// Recomputes the prefix tables from the raw cell currents. Call after
-    /// fault injection.
-    pub fn rebuild_prefix(&mut self) {
+    /// Walks the array in device-stream order — cell
+    /// `c = (((ei·m+ej)·I+r)·I+g)·t+k` is the `c`-th draw — and passes
+    /// each `t`-cell group's selected currents to `visit(ei, ej, r, g,
+    /// currents)`: the stored bit picks the '0' or '1' current of the
+    /// cell's device, and an injected fault overrides it.
+    fn for_each_group(&self, mut visit: impl FnMut(usize, usize, usize, usize, &[f64])) {
         let (n, m) = (self.payoffs.rows(), self.payoffs.cols());
         let i = self.spec.intervals as usize;
         let t = self.spec.cells_per_element as usize;
-        let side = i + 1;
-        let mut prefix = vec![0.0; n * m * side * side];
+        let cells = DeviceCells::new(
+            self.seed,
+            &self.variability,
+            &self.cell_params,
+            n * m * i * i * t,
+        );
+        let mut cells = cells.iter().enumerate();
+        let mut faults = self.faults.iter().peekable();
+        let mut group = vec![0.0; t];
         for ei in 0..n {
             for ej in 0..m {
-                let base = (ei * m + ej) * side * side;
-                for r in 1..=i {
-                    let phys_r = ei * i + (r - 1);
-                    for g in 1..=i {
-                        let mut block = 0.0;
-                        for k in 0..t {
-                            let phys_c = ej * i * t + (g - 1) * t + k;
-                            block += self.cell_current[phys_r * self.phys_cols + phys_c];
+                let value = self.payoffs.entry(ei, ej) as usize;
+                for r in 0..i {
+                    for g in 0..i {
+                        for (k, current) in group.iter_mut().enumerate() {
+                            let (c, pair) = cells.next().expect("the stream covers every cell");
+                            *current = match faults.next_if(|f| f.0 == c) {
+                                Some(&(_, forced)) => forced,
+                                None => pair[usize::from(k < value)],
+                            };
                         }
-                        prefix[base + r * side + g] = block
-                            + prefix[base + (r - 1) * side + g]
-                            + prefix[base + r * side + (g - 1)]
-                            - prefix[base + (r - 1) * side + (g - 1)];
+                        visit(ei, ej, r, g, &group);
                     }
                 }
             }
         }
+    }
+
+    /// Recomputes the prefix tables from the cell currents. Call after
+    /// fault injection.
+    pub fn rebuild_prefix(&mut self) {
+        let (n, m) = (self.payoffs.rows(), self.payoffs.cols());
+        let i = self.spec.intervals as usize;
+        let side = i + 1;
+        let mut prefix = vec![0.0; n * m * side * side];
+        self.for_each_group(|ei, ej, r, g, currents| {
+            let mut block = 0.0;
+            for &current in currents {
+                block += current;
+            }
+            let base = (ei * m + ej) * side * side;
+            let (r, g) = (r + 1, g + 1);
+            prefix[base + r * side + g] =
+                block + prefix[base + (r - 1) * side + g] + prefix[base + r * side + (g - 1)]
+                    - prefix[base + (r - 1) * side + (g - 1)];
+        });
         self.prefix = prefix;
         let block = side * side;
         let mut prefix_colmajor = vec![0.0; n * m * block];
@@ -319,23 +346,44 @@ impl Crossbar {
     /// Returns [`CrossbarError::ActivationMismatch`] on bad counts.
     pub fn read_vmv_naive(&self, p: &[u32], q: &[u32]) -> Result<f64, CrossbarError> {
         self.check_counts(p, q)?;
+        let m = self.payoffs.cols();
         let i = self.spec.intervals as usize;
         let t = self.spec.cells_per_element as usize;
+        let mut cell_current = Vec::new();
+        self.for_each_group(|_, _, _, _, currents| cell_current.extend_from_slice(currents));
         let mut total = 0.0;
         for (ei, &pc) in p.iter().enumerate() {
             for r in 0..pc as usize {
-                let phys_r = ei * i + r;
                 for (ej, &qc) in q.iter().enumerate() {
                     for g in 0..qc as usize {
-                        for k in 0..t {
-                            let phys_c = ej * i * t + g * t + k;
-                            total += self.cell_current[phys_r * self.phys_cols + phys_c];
+                        let group = (((ei * m + ej) * i + r) * i + g) * t;
+                        for current in &cell_current[group..group + t] {
+                            total += current;
                         }
                     }
                 }
             }
         }
         Ok(total)
+    }
+
+    /// Forces the current of physical cell `(row, col)` of the
+    /// `(I·n) × (I·t·m)` array, replacing any earlier fault there.
+    fn force_cell(&mut self, row: usize, col: usize, current: f64) {
+        assert!(
+            row < self.phys_rows && col < self.phys_cols,
+            "out of bounds"
+        );
+        let m = self.payoffs.cols();
+        let i = self.spec.intervals as usize;
+        let t = self.spec.cells_per_element as usize;
+        let (ei, r) = (row / i, row % i);
+        let (ej, g, k) = (col / (i * t), col / t % i, col % t);
+        let c = (((ei * m + ej) * i + r) * i + g) * t + k;
+        match self.faults.binary_search_by_key(&c, |f| f.0) {
+            Ok(at) => self.faults[at].1 = current,
+            Err(at) => self.faults.insert(at, (c, current)),
+        }
     }
 
     /// Forces a physical cell's current to zero (dead cell).
@@ -346,11 +394,7 @@ impl Crossbar {
     ///
     /// Panics if the coordinates are out of bounds.
     pub fn inject_dead_cell(&mut self, row: usize, col: usize) {
-        assert!(
-            row < self.phys_rows && col < self.phys_cols,
-            "out of bounds"
-        );
-        self.cell_current[row * self.phys_cols + col] = 0.0;
+        self.force_cell(row, col, 0.0);
     }
 
     /// Forces a physical cell permanently ON at the nominal current
@@ -360,11 +404,7 @@ impl Crossbar {
     ///
     /// Panics if the coordinates are out of bounds.
     pub fn inject_stuck_on_cell(&mut self, row: usize, col: usize) {
-        assert!(
-            row < self.phys_rows && col < self.phys_cols,
-            "out of bounds"
-        );
-        self.cell_current[row * self.phys_cols + col] = self.nominal_on;
+        self.force_cell(row, col, self.nominal_on);
     }
 }
 
@@ -474,6 +514,22 @@ mod tests {
     }
 
     #[test]
+    fn build_rejects_elements_wider_than_t() {
+        let m = Matrix::from_rows(&[vec![1.0, 5.0, 7.0]]).unwrap();
+        let q = QuantizedPayoffs::from_integer_matrix(&m).unwrap();
+        let spec = MappingSpec::new(2, 4).unwrap();
+        let err = Crossbar::build(q, spec, CellParams::default(), VariabilityModel::none(), 0)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CrossbarError::ElementOverflow {
+                value: 5,
+                cells_per_element: 4
+            }
+        );
+    }
+
+    #[test]
     fn activation_validation() {
         let g = games::battle_of_the_sexes();
         let xbar = ideal_xbar(g.row_payoffs(), 4);
@@ -549,5 +605,243 @@ mod tests {
         for c in xbar.read_mv(&[4, 4, 4]).unwrap() {
             assert!(c <= fs);
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Device stream bank: bit-identity with sequential per-cell sampling.
+    // The bank is process-wide; each test below draws its own seeds, so
+    // parallel tests share no stream (only the LRU order).
+    // ------------------------------------------------------------------
+
+    /// Cell currents (row-major over the physical array) and the four
+    /// prefix tables of a build that samples one fresh sequential stream
+    /// cell by cell — the programming model the bank must reproduce.
+    struct Reference {
+        cells: Vec<f64>,
+        tables: [Vec<f64>; 4],
+    }
+
+    fn reference(
+        payoffs: &QuantizedPayoffs,
+        spec: MappingSpec,
+        variability: VariabilityModel,
+        seed: u64,
+    ) -> Reference {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let (n, m) = (payoffs.rows(), payoffs.cols());
+        let (_, phys_cols) = spec.physical_size(n, m);
+        let i = spec.intervals as usize;
+        let t = spec.cells_per_element as usize;
+        let params = CellParams::default();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cells = vec![0.0; n * m * i * i * t];
+        for ei in 0..n {
+            for ej in 0..m {
+                let value = payoffs.entry(ei, ej) as usize;
+                for r in 0..i {
+                    for g in 0..i {
+                        for k in 0..t {
+                            let sample = variability.sample(&mut rng);
+                            let cell =
+                                OneFeFetOneR::new(FeFetState::from_bit(k < value), params, sample);
+                            cells[(ei * i + r) * phys_cols + ej * i * t + g * t + k] =
+                                cell.output_current(true, true);
+                        }
+                    }
+                }
+            }
+        }
+        let side = i + 1;
+        let block = side * side;
+        let mut prefix = vec![0.0; n * m * block];
+        for ei in 0..n {
+            for ej in 0..m {
+                let base = (ei * m + ej) * block;
+                for r in 1..=i {
+                    for g in 1..=i {
+                        let mut sum = 0.0;
+                        for k in 0..t {
+                            sum +=
+                                cells[(ei * i + r - 1) * phys_cols + ej * i * t + (g - 1) * t + k];
+                        }
+                        prefix[base + r * side + g] = sum
+                            + prefix[base + (r - 1) * side + g]
+                            + prefix[base + r * side + (g - 1)]
+                            - prefix[base + (r - 1) * side + (g - 1)];
+                    }
+                }
+            }
+        }
+        let mut colmajor = vec![0.0; n * m * block];
+        let mut mv = vec![0.0; n * m * side];
+        let mut mv_colmajor = vec![0.0; n * m * side];
+        for ei in 0..n {
+            for ej in 0..m {
+                let (e, et) = (ei * m + ej, ej * n + ei);
+                colmajor[et * block..(et + 1) * block]
+                    .copy_from_slice(&prefix[e * block..(e + 1) * block]);
+                let row = &prefix[e * block + i * side..e * block + block];
+                mv[e * side..(e + 1) * side].copy_from_slice(row);
+                mv_colmajor[et * side..(et + 1) * side].copy_from_slice(row);
+            }
+        }
+        Reference {
+            cells,
+            tables: [prefix, colmajor, mv, mv_colmajor],
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Payoffs `0..=top` spread over an `n × m` matrix, stored in `t =
+    /// top + 1` cells so every element also has '0' cells.
+    fn payoffs(n: usize, m: usize, top: u32) -> (QuantizedPayoffs, u32) {
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|r| {
+                (0..m)
+                    .map(|c| f64::from(((r * 7 + c * 3) % (top as usize + 1)) as u32))
+                    .collect()
+            })
+            .collect();
+        let q = QuantizedPayoffs::from_integer_matrix(&Matrix::from_rows(&rows).unwrap()).unwrap();
+        (q, top + 1)
+    }
+
+    /// Asserts `xbar` is bitwise the reference build, cell and table.
+    fn assert_matches_reference(xbar: &Crossbar, variability: VariabilityModel, seed: u64) {
+        let want = reference(xbar.payoffs(), xbar.spec(), variability, seed);
+        let (n, m) = (xbar.payoffs().rows(), xbar.payoffs().cols());
+        let i = xbar.spec().intervals as usize;
+        let t = xbar.spec().cells_per_element as usize;
+        let (_, phys_cols) = xbar.physical_size();
+        let mut cells = Vec::new();
+        xbar.for_each_group(|ei, ej, r, g, currents| {
+            for (k, &current) in currents.iter().enumerate() {
+                let phys = (ei * i + r) * phys_cols + ej * i * t + g * t + k;
+                cells.push((phys, current));
+            }
+        });
+        assert_eq!(cells.len(), n * m * i * i * t);
+        for (phys, current) in cells {
+            assert_eq!(current.to_bits(), want.cells[phys].to_bits(), "cell {phys}");
+        }
+        let got = [
+            &xbar.prefix,
+            &xbar.prefix_colmajor,
+            &xbar.mv_prefix,
+            &xbar.mv_prefix_colmajor,
+        ];
+        for (table, (got, want)) in got.iter().zip(&want.tables).enumerate() {
+            assert!(bits(got) == bits(want), "prefix table {table} differs");
+        }
+    }
+
+    fn build(
+        q: &QuantizedPayoffs,
+        intervals: u32,
+        t: u32,
+        v: VariabilityModel,
+        seed: u64,
+    ) -> Crossbar {
+        let spec = MappingSpec::new(intervals, t).unwrap();
+        Crossbar::build(q.clone(), spec, CellParams::default(), v, seed).unwrap()
+    }
+
+    #[test]
+    fn banked_build_matches_sequential_sampling() {
+        let models = [
+            VariabilityModel::paper(),
+            VariabilityModel::none(),
+            VariabilityModel::paper().scaled(3.0),
+        ];
+        let shapes = [(1, 1, 1, 3), (2, 3, 4, 4), (5, 4, 12, 6), (3, 3, 12, 9)];
+        for v in models {
+            for seed in [
+                0xB001,
+                0xB001u64.wrapping_add(crate::bicrossbar::NT_SEED_OFFSET),
+            ] {
+                for (n, m, intervals, top) in shapes {
+                    let (q, t) = payoffs(n, m, top);
+                    assert_matches_reference(&build(&q, intervals, t, v, seed), v, seed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn build_order_does_not_change_the_silicon() {
+        let v = VariabilityModel::paper();
+        let (small, ts) = payoffs(2, 2, 3);
+        let (large, tl) = payoffs(6, 5, 7);
+        // Small then large, and large then small, each on a fresh seed.
+        for (seed, large_first) in [(0xB002, false), (0xB003, true)] {
+            if large_first {
+                assert_matches_reference(&build(&large, 12, tl, v, seed), v, seed);
+            }
+            assert_matches_reference(&build(&small, 12, ts, v, seed), v, seed);
+            assert_matches_reference(&build(&large, 12, tl, v, seed), v, seed);
+        }
+        // Evicted by five other seeds, the stream is drawn again.
+        let before = build(&large, 12, tl, v, 0xB004);
+        for other in 0xB005..0xB00A {
+            build(&small, 12, ts, v, other);
+        }
+        let after = build(&large, 12, tl, v, 0xB004);
+        assert!(bits(&before.prefix) == bits(&after.prefix));
+        assert_matches_reference(&after, v, 0xB004);
+    }
+
+    #[test]
+    fn concurrent_builds_on_one_seed_match() {
+        let v = VariabilityModel::paper();
+        let (small, ts) = payoffs(3, 3, 4);
+        let (large, tl) = payoffs(8, 7, 9);
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                barrier.wait();
+                build(&small, 12, ts, v, 0xB00B)
+            });
+            let b = scope.spawn(|| {
+                barrier.wait();
+                build(&large, 12, tl, v, 0xB00B)
+            });
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_matches_reference(&a, v, 0xB00B);
+        assert_matches_reference(&b, v, 0xB00B);
+    }
+
+    #[test]
+    fn build_past_the_retention_cap_matches() {
+        // 2 × 2 elements × 256² × 9 cells = 2.36M cells > 2^21 retained.
+        let v = VariabilityModel::paper();
+        let (q, t) = payoffs(2, 2, 8);
+        let xbar = build(&q, 256, t, v, 0xB00C);
+        assert!(2 * 2 * 256 * 256 * t as usize > 1 << 21);
+        assert_matches_reference(&xbar, v, 0xB00C);
+    }
+
+    #[test]
+    fn faults_override_the_banked_cell() {
+        let (q, t) = payoffs(2, 2, 3);
+        let mut xbar = build(&q, 4, t, VariabilityModel::paper(), 0xB00D);
+        let clean = xbar.read_vmv_naive(&[4, 4], &[4, 4]).unwrap();
+        xbar.inject_stuck_on_cell(5, 17);
+        xbar.inject_dead_cell(5, 17);
+        xbar.inject_dead_cell(0, 0);
+        xbar.rebuild_prefix();
+        let naive = xbar.read_vmv_naive(&[4, 4], &[4, 4]).unwrap();
+        assert!(naive < clean);
+        let fast = xbar.read_vmv(&[4, 4], &[4, 4]).unwrap();
+        assert!((fast - naive).abs() <= fast.abs() * 1e-12);
+        assert_eq!(
+            xbar.faults.len(),
+            2,
+            "re-injecting a cell replaces its fault"
+        );
     }
 }

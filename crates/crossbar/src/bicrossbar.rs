@@ -16,6 +16,16 @@ use cnash_device::cell::CellParams;
 use cnash_device::variability::VariabilityModel;
 use cnash_game::{BimatrixGame, MixedStrategy};
 
+/// Hardware-seed offset of the `Nᵀ` array.
+///
+/// Known modelling quirk, pinned by a test and kept because changing it
+/// re-baselines every golden stream: the offset is exactly one SplitMix64
+/// increment, so `StdRng::seed_from_u64(seed + NT_SEED_OFFSET)` is the `M`
+/// array's generator advanced by one `u64`. The `Nᵀ` array's draws are the
+/// `M` array's shifted by one, and the two arrays' Box–Muller pairs share
+/// uniforms instead of being independent.
+pub(crate) const NT_SEED_OFFSET: u64 = 0x9e3779b97f4a7c15;
+
 /// Build-time configuration of a [`BiCrossbar`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrossbarConfig {
@@ -130,7 +140,7 @@ impl BiCrossbar {
             spec,
             config.cell,
             config.variability,
-            seed.wrapping_add(0x9e3779b97f4a7c15),
+            seed.wrapping_add(NT_SEED_OFFSET),
         )?;
 
         let mk_adc = |x: &Crossbar| -> Result<AdcSpec, CrossbarError> {
@@ -280,6 +290,28 @@ impl BiCrossbar {
 mod tests {
     use super::*;
     use cnash_game::games;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn nt_stream_is_the_m_stream_one_draw_later() {
+        for seed in [0, 1, 42, u64::MAX] {
+            let mut m = StdRng::seed_from_u64(seed);
+            let mut nt = StdRng::seed_from_u64(seed.wrapping_add(NT_SEED_OFFSET));
+            m.next_u64();
+            let mut m_after_one = m.clone();
+            for _ in 0..64 {
+                assert_eq!(m.next_u64(), nt.next_u64());
+            }
+            // The Nᵀ array's devices are therefore drawn from the M
+            // array's uniforms, not from an independent stream.
+            let mut nt = StdRng::seed_from_u64(seed.wrapping_add(NT_SEED_OFFSET));
+            let v = VariabilityModel::paper();
+            for _ in 0..16 {
+                assert_eq!(v.sample(&mut m_after_one), v.sample(&mut nt));
+            }
+        }
+    }
 
     #[test]
     fn actions_reports_the_programmed_geometry() {

@@ -14,8 +14,11 @@
 //!   `(p_i I) · (q_j I) · m_ij · i_on` — the worked example of Fig. 4c
 //!   (`0.25 × 3 × 0.75` with `I = t = 4`) yields 9 active cells.
 //!
-//! [`array::Crossbar`] samples one device per physical cell (threshold and
-//! resistor variability) and pre-computes per-block prefix sums so a read
+//! [`array::Crossbar`] gives every physical cell its own device (threshold
+//! and resistor variability) drawn from a per-seed device stream that is
+//! shared by every array programmed on that seed: a seed's first build
+//! samples the stream, later builds are `O(n·m·I²·t)` table reads. Only
+//! per-block prefix sums, `O(n·m·(I+1)²)` values, are kept, so a read
 //! costs `O(n·m)` lookups instead of `O(cells)` — bit-exact with the naive
 //! cell-by-cell sum, which [mod@array]'s tests verify.
 //!
@@ -38,6 +41,7 @@
 
 pub mod adc;
 pub mod array;
+mod bank;
 pub mod bicrossbar;
 pub mod delta;
 pub mod error;

@@ -3,9 +3,11 @@
 //! Instantiating a solver for a request has two costs that dwarf the
 //! per-request state:
 //!
-//! * **programming** — mapping the game onto the bi-crossbar samples
-//!   `O(n·m·I²·t)` devices (C-Nash), and building the Eq. 6 S-QUBO
-//!   blows the game up into slack variables (D-Wave baselines);
+//! * **programming** — mapping the game onto the bi-crossbar (C-Nash):
+//!   a hardware seed's first build samples its device stream, later
+//!   builds are `O(n·m·I²·t)` table reads folded into prefix tables;
+//!   building the Eq. 6 S-QUBO blows the game up into slack variables
+//!   (D-Wave baselines);
 //! * **ground truth** — support enumeration of the game's equilibria
 //!   for coverage statistics.
 //!
@@ -98,7 +100,7 @@ impl CacheStats {
 }
 
 /// Default bound on cached programmed instances. Each C-Nash entry
-/// pins `O(n·m·I²·t)` device state, so the instance map is the
+/// pins `O(n·m·(I+1)²)` prefix tables, so the instance map is the
 /// daemon's dominant memory consumer and must not grow with traffic.
 pub const DEFAULT_MAX_INSTANCES: usize = 256;
 /// Default bound on cached ground-truth sets (equilibria are small).
