@@ -60,7 +60,7 @@ fn print_help() {
     println!();
     println!("Differential oracle fuzzing over the family x size x seed grid.");
     println!();
-    print!("{}", usage_lines(Some(SUPPORTED)));
+    print!("{}", usage_lines(SUPPORTED));
     println!();
     println!("mismatch classes (failure_class in the summary):");
     println!("  false_equilibrium          a solver claimed a hit the certificate");

@@ -1,7 +1,7 @@
 //! SA hot-path performance harness: full re-evaluation vs the
 //! incremental delta-energy subsystem.
 //!
-//! `cargo run --release -p cnash-bench --bin perf -- [--quick] [--out PATH]`
+//! `cargo run --release -p cnash-bench --bin perf -- [--quick] [--seed S] [--out PATH]`
 //!
 //! Times each reference evaluator against its production incremental
 //! counterpart across a grid of game sizes and payoff/coupling
@@ -15,65 +15,45 @@
 //!   the production `anneal_incremental` (cached local fields, `O(1)`
 //!   per proposal).
 //!
-//! Emits `BENCH_sa_hotpath.json` (schema documented in the README,
-//! written with `cnash-runtime`'s JSON writer so it parses with the same
-//! tooling as the runtime's report JSON). Exit status doubles as the CI
-//! regression gate:
-//!
-//! * exit 2 — equivalence check failed (the delta path diverged from
-//!   full evaluation, a correctness bug),
-//! * exit 1 — delta speedup at the 64×64 crossbar point fell below 1.0×
-//!   (the incremental subsystem regressed into a slowdown),
-//! * exit 0 — measurements recorded.
+//! Each grid point runs [`PAIRS`] interleaved (full, delta) pairs; its
+//! speedup is the median per-pair ratio. Emits `BENCH_sa_hotpath.json`
+//! (schema v2, `cnash_bench::measure`) and exits 0 when every check and
+//! gate passes; [`HARNESS`] (`--help`) declares what exits 1 and 2 mean.
 
 use cnash_anneal::delta::{simulated_annealing_delta, DeltaEnergy};
 use cnash_anneal::engine::{simulated_annealing, SaOptions};
 use cnash_anneal::moves::GridStrategyPair;
-use cnash_bench::Cli;
-use cnash_core::report::render_table;
+use cnash_bench::measure::{fail, paired, Estimate, Harness, Paired, Report, Side};
 use cnash_core::{CNashConfig, CNashSolver};
 use cnash_game::generators::random_integer_game;
 use cnash_qubo::annealer::{anneal, anneal_incremental, AnnealParams};
 use cnash_qubo::Qubo;
-use cnash_runtime::Json;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::hint::black_box;
 use std::time::Instant;
 
-/// One measured grid point.
-struct Entry {
-    kind: &'static str,
-    label: String,
-    size: usize,
-    density: f64,
-    iterations: usize,
-    full_ns_per_iter: f64,
-    delta_ns_per_iter: f64,
-    equivalent: bool,
-}
+const HARNESS: Harness = Harness {
+    bin: "perf",
+    bench: "sa_hotpath",
+    about: "SA hot path: full re-evaluation vs incremental delta energy, per iteration.",
+    flags: &["--quick", "--seed", "--out"],
+    gates: "64x64 crossbar delta speedup < 1.0x (the incremental path regressed into a slowdown)",
+    checks: "the delta path diverged from full evaluation (a correctness bug)",
+};
+/// Interleaved (full, delta) pairs per grid point.
+const PAIRS: usize = 9;
+/// The gated crossbar size.
+const GATE_SIZE: usize = 64;
+const GATE_SPEEDUP: f64 = 1.0;
 
-impl Entry {
-    fn speedup(&self) -> f64 {
-        self.full_ns_per_iter / self.delta_ns_per_iter
-    }
-
-    fn json(&self) -> Json {
-        Json::obj([
-            ("kind", Json::str(self.kind)),
-            ("label", Json::str(self.label.clone())),
-            ("size", Json::num(self.size as f64)),
-            ("density", Json::Num(self.density)),
-            ("iterations", Json::num(self.iterations as f64)),
-            ("full_ns_per_iter", Json::Num(self.full_ns_per_iter)),
-            ("delta_ns_per_iter", Json::Num(self.delta_ns_per_iter)),
-            ("speedup", Json::Num(self.speedup())),
-            ("equivalent", Json::Bool(self.equivalent)),
-        ])
-    }
+/// Nanoseconds per unit of work since `start`.
+fn ns_per(start: Instant, units: usize) -> f64 {
+    start.elapsed().as_nanos() as f64 / units as f64
 }
 
 /// Times the crossbar pipeline at one `n × n` game size.
-fn bench_crossbar(n: usize, max_payoff: u32, iterations: usize, seed: u64) -> Entry {
+fn bench_crossbar(label: &str, n: usize, max_payoff: u32, iterations: usize, seed: u64) -> Paired {
     let game = random_integer_game(n, n, max_payoff, seed).expect("valid grid point");
     let solver = CNashSolver::new(
         &game,
@@ -91,52 +71,53 @@ fn bench_crossbar(n: usize, max_payoff: u32, iterations: usize, seed: u64) -> En
         record_trace: false,
         record_hits: false,
     };
-
-    // Full path: two-phase re-evaluation per proposal.
-    let start = Instant::now();
-    let full = simulated_annealing(
-        init.clone(),
-        |s| solver.evaluate(s),
-        |s, r| s.neighbour(r),
-        &opts,
-    );
-    let full_ns = start.elapsed().as_nanos() as f64 / iterations as f64;
-
-    // Delta path: incremental evaluator, same seed and proposal stream.
-    let mut evaluator = solver.delta_evaluator(init).expect("geometry matches");
-    let start = Instant::now();
-    let delta = simulated_annealing_delta(&mut evaluator, &opts);
-    let delta_ns = start.elapsed().as_nanos() as f64 / iterations as f64;
-
-    // Equivalence, two layers. (1) The incrementally maintained energy
-    // must equal a from-scratch rebuild at the final state bit for bit —
-    // the delta subsystem's core invariant. (2) Pointwise pipeline
-    // agreement: the legacy full pipeline evaluated at the delta walk's
-    // best state must agree with the delta energy there up to FP
-    // reassociation and ADC rounding-tie noise (the walks themselves
-    // legitimately diverge, deltas being differently-rounded reals).
-    let scratch = solver
-        .delta_evaluator(delta.final_state.clone())
-        .expect("geometry matches")
-        .energy();
-    let pointwise = (solver.evaluate(&delta.best_state) - delta.best_energy).abs();
-    let equivalent = scratch == delta.final_energy && pointwise < 0.05;
-    let _ = full.best_state;
-
-    Entry {
-        kind: "bicrossbar",
-        label: format!("bicrossbar-{n}x{n}-payoff{max_payoff}"),
-        size: n,
-        density: f64::from(max_payoff),
-        iterations,
-        full_ns_per_iter: full_ns,
-        delta_ns_per_iter: delta_ns,
-        equivalent,
-    }
+    paired(PAIRS, |side| match side {
+        // Full path: two-phase re-evaluation per proposal.
+        Side::A => {
+            let start = Instant::now();
+            black_box(simulated_annealing(
+                init.clone(),
+                |s| solver.evaluate(s),
+                |s, r| s.neighbour(r),
+                &opts,
+            ));
+            ns_per(start, iterations)
+        }
+        // Delta path: incremental evaluator, same seed and proposal stream.
+        Side::B => {
+            let mut evaluator = solver
+                .delta_evaluator(init.clone())
+                .expect("geometry matches");
+            let start = Instant::now();
+            let delta = simulated_annealing_delta(&mut evaluator, &opts);
+            let ns = ns_per(start, iterations);
+            // Equivalence, two layers. (1) The incrementally maintained
+            // energy must equal a from-scratch rebuild at the final state
+            // bit for bit — the delta subsystem's core invariant. (2)
+            // Pointwise pipeline agreement: the full pipeline evaluated at
+            // the delta walk's best state must agree with the delta energy
+            // there up to FP reassociation and ADC rounding-tie noise (the
+            // walks themselves legitimately diverge, deltas being
+            // differently-rounded reals).
+            let scratch = solver
+                .delta_evaluator(delta.final_state.clone())
+                .expect("geometry matches")
+                .energy();
+            let pointwise = (solver.evaluate(&delta.best_state) - delta.best_energy).abs();
+            if scratch != delta.final_energy || pointwise >= 0.05 {
+                fail(&format!(
+                    "{label}: delta path diverged from full evaluation \
+                     (rebuild {scratch} vs maintained {}, pointwise gap {pointwise})",
+                    delta.final_energy
+                ));
+            }
+            ns
+        }
+    })
 }
 
 /// Times the QUBO annealer at one variable count / coupling density.
-fn bench_qubo(vars: usize, density: f64, sweeps: usize, seed: u64) -> Entry {
+fn bench_qubo(label: &str, vars: usize, density: f64, sweeps: usize, seed: u64) -> Paired {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut qubo = Qubo::new(vars);
     for i in 0..vars {
@@ -149,162 +130,78 @@ fn bench_qubo(vars: usize, density: f64, sweeps: usize, seed: u64) -> Entry {
     }
     let params = AnnealParams::new(sweeps, 10.0, 0.05);
     let proposals = sweeps * vars;
-
-    let start = Instant::now();
-    let full = anneal(&qubo, &params, seed);
-    let full_ns = start.elapsed().as_nanos() as f64 / proposals as f64;
-
-    let start = Instant::now();
-    let inc = anneal_incremental(&qubo, &params, seed);
-    let delta_ns = start.elapsed().as_nanos() as f64 / proposals as f64;
-
+    let (mut full, mut inc) = (None, None);
+    let samples = paired(PAIRS, |side| {
+        let start = Instant::now();
+        match side {
+            Side::A => full = Some(anneal(&qubo, &params, seed)),
+            Side::B => inc = Some(anneal_incremental(&qubo, &params, seed)),
+        }
+        ns_per(start, proposals)
+    });
     // Integer couplings are exact in f64: the two paths must agree
     // bitwise, not approximately.
-    let equivalent = full == inc;
-
-    Entry {
-        kind: "qubo",
-        label: format!("qubo-{vars}v-density{density}"),
-        size: vars,
-        density,
-        iterations: proposals,
-        full_ns_per_iter: full_ns,
-        delta_ns_per_iter: delta_ns,
-        equivalent,
+    if full != inc {
+        fail(&format!(
+            "{label}: incremental annealer diverged from the row scan"
+        ));
     }
+    samples
 }
 
-fn geomean(values: impl Iterator<Item = f64>) -> f64 {
-    let (sum, count) = values.fold((0.0, 0usize), |(s, c), v| (s + v.ln(), c + 1));
-    if count == 0 {
-        f64::NAN
-    } else {
-        (sum / count as f64).exp()
-    }
+/// Adds a grid point's full and delta entries; returns its speedup.
+fn record(report: &mut Report, label: String, samples: Paired) -> f64 {
+    let speedup = samples.ratio().value;
+    eprintln!("  {label}: speedup {speedup:.2}x");
+    report.entry(format!("{label} full"), Estimate::of(&samples.a));
+    report.entry(format!("{label} delta"), Estimate::of(&samples.b));
+    speedup
 }
 
-/// `(actions per side, max payoff, SA iterations)` crossbar grid points.
-type CrossbarGrid = Vec<(usize, u32, usize)>;
+/// `(actions per side, max payoff, SA iterations)` crossbar grid points,
+/// quick and full; the 64×64 gate point belongs to both.
+const CROSSBAR_QUICK: &[(usize, u32, usize)] = &[(8, 3, 2000), (64, 3, 400)];
+const CROSSBAR_FULL: &[(usize, u32, usize)] = &[
+    (8, 3, 4000),
+    (16, 3, 3000),
+    (32, 3, 1500),
+    (64, 3, 800),
+    (32, 8, 1500),
+    (64, 8, 800),
+];
 /// `(variables, coupling density, sweeps)` QUBO grid points.
-type QuboGrid = Vec<(usize, f64, usize)>;
+const QUBO_QUICK: &[(usize, f64, usize)] = &[(64, 1.0, 200), (128, 1.0, 100)];
+const QUBO_FULL: &[(usize, f64, usize)] = &[
+    (32, 0.25, 600),
+    (32, 1.0, 600),
+    (64, 1.0, 300),
+    (128, 0.25, 150),
+    (128, 1.0, 150),
+];
 
 fn main() {
-    let cli = Cli::parse_for(&["--quick", "--seed", "--out"]);
+    let cli = HARNESS.parse();
     let seed = cli.seed;
-
-    // The 64×64 crossbar point is the acceptance gate and belongs to
-    // every grid, quick or full.
-    let (crossbar_grid, qubo_grid): (CrossbarGrid, QuboGrid) = if cli.quick {
-        (
-            vec![(8, 3, 2000), (64, 3, 400)],
-            vec![(64, 1.0, 200), (128, 1.0, 100)],
-        )
+    let (crossbar_grid, qubo_grid) = if cli.quick {
+        (CROSSBAR_QUICK, QUBO_QUICK)
     } else {
-        (
-            vec![
-                (8, 3, 4000),
-                (16, 3, 3000),
-                (32, 3, 1500),
-                (64, 3, 800),
-                (32, 8, 1500),
-                (64, 8, 800),
-            ],
-            vec![
-                (32, 0.25, 600),
-                (32, 1.0, 600),
-                (64, 1.0, 300),
-                (128, 0.25, 150),
-                (128, 1.0, 150),
-            ],
-        )
+        (CROSSBAR_FULL, QUBO_FULL)
     };
-
-    let mut entries = Vec::new();
-    for &(n, payoff, iters) in &crossbar_grid {
+    let mut report = Report::new(&HARNESS, &cli);
+    for &(n, payoff, iters) in crossbar_grid {
         eprintln!("measuring bicrossbar {n}x{n} (payoff scale {payoff}, {iters} iters)...");
-        entries.push(bench_crossbar(n, payoff, iters, seed));
-    }
-    for &(vars, density, sweeps) in &qubo_grid {
-        eprintln!("measuring qubo {vars} vars (density {density}, {sweeps} sweeps)...");
-        entries.push(bench_qubo(vars, density, sweeps, seed));
-    }
-
-    let rows: Vec<Vec<String>> = entries
-        .iter()
-        .map(|e| {
-            vec![
-                e.label.clone(),
-                format!("{:.0}", e.full_ns_per_iter),
-                format!("{:.0}", e.delta_ns_per_iter),
-                format!("{:.2}x", e.speedup()),
-                if e.equivalent { "yes" } else { "NO" }.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "SA hot path: full re-evaluation vs incremental delta energy",
-            &[
-                "case",
-                "full ns/iter",
-                "delta ns/iter",
-                "speedup",
-                "equivalent"
-            ],
-            &rows,
-        )
-    );
-
-    let gate = entries
-        .iter()
-        .find(|e| e.kind == "bicrossbar" && e.size == 64)
-        .map(Entry::speedup);
-    let summary = Json::obj([
-        (
-            "speedup_min",
-            Json::Num(
-                entries
-                    .iter()
-                    .map(Entry::speedup)
-                    .fold(f64::INFINITY, f64::min),
-            ),
-        ),
-        (
-            "speedup_geomean",
-            Json::Num(geomean(entries.iter().map(Entry::speedup))),
-        ),
-        ("speedup_64x64", gate.map(Json::Num).unwrap_or(Json::Null)),
-    ]);
-    let doc = Json::obj([
-        ("bench", Json::str("sa_hotpath")),
-        ("schema_version", Json::num(1.0)),
-        ("mode", Json::str(if cli.quick { "quick" } else { "full" })),
-        ("seed", Json::num(seed as f64)),
-        (
-            "entries",
-            Json::Arr(entries.iter().map(Entry::json).collect()),
-        ),
-        ("summary", summary),
-    ]);
-
-    let out_path = cli.out.as_deref().unwrap_or("BENCH_sa_hotpath.json");
-    if let Err(e) = std::fs::write(out_path, doc.pretty()) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(2);
-    }
-    println!("wrote {out_path}");
-
-    if entries.iter().any(|e| !e.equivalent) {
-        eprintln!("FAIL: delta path diverged from full evaluation");
-        std::process::exit(2);
-    }
-    match gate {
-        Some(s) if s < 1.0 => {
-            eprintln!("FAIL: 64x64 delta speedup {s:.2}x < 1.0x — hot-path regression");
-            std::process::exit(1);
+        let label = format!("bicrossbar-{n}x{n}-payoff{payoff}");
+        let samples = bench_crossbar(&label, n, payoff, iters, seed);
+        let speedup = record(&mut report, label, samples);
+        if n == GATE_SIZE && payoff == 3 {
+            report.at_least("speedup_64x64", speedup, GATE_SPEEDUP);
         }
-        Some(s) => println!("64x64 hot-path speedup: {s:.2}x (gate: >= 1.0x)"),
-        None => println!("note: no 64x64 crossbar point in this grid"),
     }
+    for &(vars, density, sweeps) in qubo_grid {
+        eprintln!("measuring qubo {vars} vars (density {density}, {sweeps} sweeps)...");
+        let label = format!("qubo-{vars}v-density{density}");
+        let samples = bench_qubo(&label, vars, density, sweeps, seed);
+        record(&mut report, label, samples);
+    }
+    report.finish();
 }

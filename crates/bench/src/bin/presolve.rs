@@ -103,7 +103,7 @@ fn main() {
     let cli = Cli::parse_for(SUPPORTED);
     if cli.help {
         println!("usage: presolve --store PATH [flags]");
-        print!("{}", usage_lines(Some(SUPPORTED)));
+        print!("{}", usage_lines(SUPPORTED));
         println!("exit codes: 0 sweep complete, 1 job(s) failed, 2 usage/IO error");
         return;
     }

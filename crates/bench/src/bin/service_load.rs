@@ -13,85 +13,55 @@
 //! event loop — the same `Poller`/`LineFramer` machinery the daemon
 //! itself runs on. Every response is matched to its request by the
 //! service's request-ordered streaming contract, and the
-//! request-written → response-framed latency goes into a
-//! `cnash-telemetry` histogram.
+//! request-written → response-framed latency is recorded per request.
 //!
 //! The cache is warmed with one cold solve before the clock starts, so
 //! the measured numbers are connection-layer + scheduler + cache-hit
 //! execution — no programming passes.
 //!
-//! Emits `BENCH_service_load.json` with sustained req/s and
-//! p50/p90/p99/p999 latency. Exit status doubles as the CI gate:
-//!
-//! * exit 2 — usage error, or the harness could not set up (daemon,
-//!   connect, warm-up),
-//! * exit 1 — dropped responses: a connection died or the run stalled
-//!   before every pipelined request was answered,
-//! * exit 0 — every request answered; measurements recorded.
+//! Emits `BENCH_service_load.json` (schema v2, `cnash_bench::measure`):
+//! request-written → response-framed latency (median with P10–P90, p99,
+//! p999) and wall time per request. Exits 0 when every check and gate
+//! passes; [`HARNESS`] (`--help`) declares what exits 1 and 2 mean.
 
-use cnash_bench::client::ServiceConn;
-use cnash_bench::{usage_lines, Cli};
-use cnash_core::report::render_table;
-use cnash_runtime::spec::{ConfigSpec, GameSpec, JobSpec, SolverSpec};
-use cnash_runtime::Json;
+use cnash_bench::measure::{
+    self, fail, quantile, solve_request, Daemon, Estimate, Harness, Report,
+};
 use cnash_service::framing::{FramedLine, LineFramer};
 use cnash_service::reactor::{PollEvent, Poller};
-use cnash_service::{serve, ServiceConfig, ServiceHandle};
-use cnash_telemetry::Histogram;
+use cnash_service::ServiceConfig;
+use std::io::ErrorKind::{Interrupted, WouldBlock};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::time::{Duration, Instant};
 
-const FLAGS: &[&str] = &[
-    "--conns",
-    "--per-conn",
-    "--quick",
-    "--seed",
-    "--addr",
-    "--out",
-    "--help",
-];
-
+const HARNESS: Harness = Harness {
+    bin: "service_load",
+    bench: "service_load",
+    about: "Service load: pipelined warm-cache solves across concurrent connections.",
+    flags: &[
+        "--conns",
+        "--per-conn",
+        "--quick",
+        "--seed",
+        "--addr",
+        "--out",
+    ],
+    gates: "dropped responses (a connection died or the run stalled)",
+    checks: "the warm-up solve failed",
+};
 /// A run with no forward progress for this long is declared stalled and
 /// its unanswered requests counted as dropped.
 const STALL_TIMEOUT: Duration = Duration::from_secs(60);
 /// Connections opened per connect burst (the listener backlog is
 /// finite; the reactor drains it between bursts).
 const CONNECT_BURST: usize = 100;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(2);
-}
-
-/// The warm-cache job every connection pipelines: small enough that the
-/// daemon, not the solver, dominates (4×4 random game, one short run).
-fn solve_request(id: usize, seed: u64) -> String {
-    let job = JobSpec {
-        game: GameSpec::Random {
-            rows: 4,
-            cols: 4,
-            max_payoff: 3,
-            seed,
-        },
-        solver: SolverSpec::CNash {
-            config: ConfigSpec::paper(12).with_iterations(150),
-            hardware_seed: 0,
-        },
-        runs: 1,
-        base_seed: seed,
-        early_stop: None,
-        label: Some("service-load-4x4".into()),
-    };
-    Json::obj([
-        ("op", Json::str("solve")),
-        ("id", Json::num(id as f64)),
-        ("job", job.to_json()),
-        ("ground_truth", Json::str("skip")),
-    ])
-    .compact()
-}
+/// The warm-cache job every connection pipelines is small enough that
+/// the daemon, not the solver, dominates: a 4×4 random game, one short
+/// run.
+const SIZE: usize = 4;
+const ITERATIONS: usize = 150;
 
 /// One load connection's state machine: a pre-serialised pipeline of
 /// requests on the way out, a line framer on the way back.
@@ -114,66 +84,43 @@ impl LoadConn {
 }
 
 fn main() {
-    let cli = Cli::parse_for(FLAGS);
-    if cli.help {
-        println!("usage: service_load [flags]");
-        print!("{}", usage_lines(Some(FLAGS)));
-        println!("exit codes: 0 = all responses received, 1 = dropped responses, 2 = usage/setup");
-        return;
-    }
+    let cli = HARNESS.parse();
     // `--quick` is the CI smoke scale; explicit --conns/--per-conn win.
-    let conns = if cli.quick && cli.conns == 1000 {
-        200
-    } else {
-        cli.conns
+    let scale = |value, default, quick| {
+        if cli.quick && value == default {
+            quick
+        } else {
+            value
+        }
     };
-    let per_conn = if cli.quick && cli.per_conn == 8 {
-        4
-    } else {
-        cli.per_conn
-    };
+    let (conns, per_conn) = (scale(cli.conns, 1000, 200), scale(cli.per_conn, 8, 4));
 
     // In-process daemon unless --addr points at an external one.
-    let mut daemon: Option<ServiceHandle> = None;
-    let addr: SocketAddr = match &cli.addr {
-        Some(addr) => addr
-            .to_socket_addrs()
-            .ok()
-            .and_then(|mut a| a.next())
-            .unwrap_or_else(|| fail(&format!("cannot resolve {addr}"))),
-        None => {
-            let handle = serve(ServiceConfig {
-                max_connections: conns + 16,
-                ..ServiceConfig::default()
-            })
-            .unwrap_or_else(|e| fail(&format!("cannot start in-process daemon: {e}")));
-            let addr = handle.addr();
-            daemon = Some(handle);
-            addr
+    let daemon = cli.addr.is_none().then(|| {
+        let max_connections = conns + 16;
+        Daemon::boot(ServiceConfig {
+            max_connections,
+            ..ServiceConfig::default()
+        })
+    });
+    let addr = match (&daemon, cli.addr.as_deref().unwrap_or_default()) {
+        (Some(daemon), _) => daemon.addr(),
+        (None, addr) => {
+            let resolved = addr.to_socket_addrs().ok().and_then(|mut a| a.next());
+            resolved.unwrap_or_else(|| fail(&format!("cannot resolve {addr}")))
         }
     };
+    let request = |id| solve_request(id, "service-load", SIZE, ITERATIONS, cli.seed);
 
     // Warm the cache so the load phase is pure cache-hit traffic.
-    let request = solve_request(0, cli.seed);
-    {
-        let mut warm = ServiceConn::connect(addr)
-            .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
-        let response = warm
-            .round_trip(&request)
-            .unwrap_or_else(|e| fail(&format!("warm-up solve failed: {e}")));
-        let doc = Json::parse(&response)
-            .unwrap_or_else(|e| fail(&format!("unparseable warm-up response: {e}")));
-        if !doc.get("ok").and_then(Json::as_bool).unwrap_or(false) {
-            fail(&format!("warm-up solve rejected: {response}"));
-        }
-    }
+    measure::solve(&mut measure::connect(addr), &request(0));
 
     // Every connection pipelines the same byte block; per-request send
     // times are recovered from the block's prefix boundaries.
     let mut block: Vec<u8> = Vec::new();
     let mut boundaries: Vec<usize> = Vec::with_capacity(per_conn);
     for k in 0..per_conn {
-        block.extend_from_slice(solve_request(k + 1, cli.seed).as_bytes());
+        block.extend_from_slice(request(k + 1).as_bytes());
         block.push(b'\n');
         boundaries.push(block.len());
     }
@@ -206,7 +153,7 @@ fn main() {
     }
 
     let total_requests = conns * per_conn;
-    let latency = Histogram::new();
+    let mut latency_ns: Vec<f64> = Vec::with_capacity(total_requests);
     let mut completed = 0usize;
     let mut remaining = conns;
     let start = Instant::now();
@@ -235,19 +182,20 @@ fn main() {
             if ev.writable && conn.written < block.len() {
                 loop {
                     match (&conn.stream).write(&block[conn.written..]) {
-                        Ok(0) => {
+                        Err(e) if e.kind() == WouldBlock => break,
+                        Err(e) if e.kind() == Interrupted => continue,
+                        Ok(0) | Err(_) => {
                             conn.dead = true;
                             break;
                         }
                         Ok(n) => {
-                            let before = conn.written;
                             conn.written += n;
                             progressed = true;
                             // Timestamp every request this write completed.
                             let now = Instant::now();
-                            while conn.sent_at.len() < per_conn
-                                && boundaries[conn.sent_at.len()] > before
-                                && boundaries[conn.sent_at.len()] <= conn.written
+                            while boundaries
+                                .get(conn.sent_at.len())
+                                .is_some_and(|&end| end <= conn.written)
                             {
                                 conn.sent_at.push(now);
                             }
@@ -255,22 +203,16 @@ fn main() {
                                 break;
                             }
                         }
-                        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            conn.dead = true;
-                            break;
-                        }
                     }
                 }
             }
             if ev.readable && !conn.dead {
                 'read: loop {
                     match (&conn.stream).read(&mut chunk) {
-                        Ok(0) => {
-                            if conn.received < per_conn {
-                                conn.dead = true;
-                            }
+                        Err(e) if e.kind() == WouldBlock => break,
+                        Err(e) if e.kind() == Interrupted => continue,
+                        Ok(0) | Err(_) => {
+                            conn.dead = conn.received < per_conn;
                             break;
                         }
                         Ok(n) => {
@@ -285,22 +227,12 @@ fn main() {
                                     conn.dead = true; // response without a request
                                     break 'read;
                                 }
-                                let ns = now
-                                    .duration_since(conn.sent_at[conn.received])
-                                    .as_nanos()
-                                    .min(u128::from(u64::MAX))
-                                    as u64;
-                                latency.record(ns);
+                                let waited = now.duration_since(conn.sent_at[conn.received]);
+                                latency_ns.push(waited.as_nanos() as f64);
                                 conn.received += 1;
                                 completed += 1;
                                 progressed = true;
                             }
-                        }
-                        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            conn.dead = true;
-                            break;
                         }
                     }
                 }
@@ -325,79 +257,36 @@ fn main() {
     }
     let elapsed = start.elapsed();
 
-    if let Some(handle) = daemon {
-        handle.stop();
+    if let Some(daemon) = daemon {
+        daemon.shutdown();
     }
 
     let dropped = total_requests - completed;
-    let snapshot = latency.snapshot();
-    let quantile_ms = |q: f64| snapshot.quantile(q) as f64 / 1e6;
     let req_per_s = completed as f64 / elapsed.as_secs_f64();
-    let rows = vec![vec![
-        format!("{conns}x{per_conn}"),
-        format!("{req_per_s:.0}"),
-        format!("{:.2}", quantile_ms(0.50)),
-        format!("{:.2}", quantile_ms(0.90)),
-        format!("{:.2}", quantile_ms(0.99)),
-        format!("{:.2}", quantile_ms(0.999)),
-        format!("{dropped}"),
-    ]];
-    println!(
-        "{}",
-        render_table(
-            "Service load: pipelined warm-cache solves across concurrent connections",
-            &[
-                "conns x reqs",
-                "req/s",
-                "p50 ms",
-                "p90 ms",
-                "p99 ms",
-                "p999 ms",
-                "dropped"
-            ],
-            &rows,
-        )
-    );
-
-    let doc = Json::obj([
-        ("bench", Json::str("service_load")),
-        ("schema_version", Json::num(1.0)),
-        ("mode", Json::str(if cli.quick { "quick" } else { "full" })),
-        ("seed", Json::num(cli.seed as f64)),
-        (
-            "config",
-            Json::obj([
-                ("conns", Json::num(conns as f64)),
-                ("per_conn", Json::num(per_conn as f64)),
-                ("total_requests", Json::num(total_requests as f64)),
-            ]),
-        ),
-        (
-            "summary",
-            Json::obj([
-                ("elapsed_s", Json::Num(elapsed.as_secs_f64())),
-                ("completed", Json::num(completed as f64)),
-                ("dropped", Json::num(dropped as f64)),
-                ("req_per_s", Json::Num(req_per_s)),
-                ("p50_ms", Json::Num(quantile_ms(0.50))),
-                ("p90_ms", Json::Num(quantile_ms(0.90))),
-                ("p99_ms", Json::Num(quantile_ms(0.99))),
-                ("p999_ms", Json::Num(quantile_ms(0.999))),
-            ]),
-        ),
-    ]);
-    let out_path = cli.out.as_deref().unwrap_or("BENCH_service_load.json");
-    if let Err(e) = std::fs::write(out_path, doc.pretty()) {
-        fail(&format!("cannot write {out_path}: {e}"));
-    }
-    println!("wrote {out_path}");
-
-    if dropped > 0 {
-        eprintln!("FAIL: {dropped}/{total_requests} responses dropped");
-        std::process::exit(1);
-    }
-    println!(
-        "{total_requests} responses across {conns} connections in {:.1}s ({req_per_s:.0} req/s), 0 dropped",
+    eprintln!(
+        "{completed}/{total_requests} responses across {conns} connections in {:.1}s ({req_per_s:.0} req/s)",
         elapsed.as_secs_f64()
     );
+    let mut report = Report::new(&HARNESS, &cli);
+    if completed > 0 {
+        let label = format!("{conns}x{per_conn} latency");
+        report.entry(label.clone(), Estimate::of(&latency_ns));
+        for (name, q) in [("p99", 0.99), ("p999", 0.999)] {
+            let tail = Estimate::of(&[quantile(&latency_ns, q)]);
+            report.entry(
+                format!("{label} {name}"),
+                Estimate {
+                    n: completed,
+                    ..tail
+                },
+            );
+        }
+        let per_request = elapsed.as_nanos() as f64 / completed as f64;
+        report.entry(
+            format!("{conns}x{per_conn} wall per request"),
+            Estimate::of(&[per_request]),
+        );
+    }
+    report.at_most("dropped", dropped as f64, 0.0);
+    report.finish();
 }

@@ -24,7 +24,7 @@ const SUPPORTED: &[&str] = &["--store", "--help"];
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("usage: store fsck --store PATH");
-    eprint!("{}", usage_lines(Some(SUPPORTED)));
+    eprint!("{}", usage_lines(SUPPORTED));
     eprintln!("exit codes: 0 log clean, 1 corruption found, 2 usage/IO error");
     std::process::exit(2);
 }
@@ -37,7 +37,7 @@ fn main() {
         _ => {
             if args.iter().any(|a| a == "--help") {
                 println!("usage: store fsck --store PATH");
-                print!("{}", usage_lines(Some(SUPPORTED)));
+                print!("{}", usage_lines(SUPPORTED));
                 println!("exit codes: 0 log clean, 1 corruption found, 2 usage/IO error");
                 return;
             }
@@ -47,13 +47,13 @@ fn main() {
     if subcommand != "fsck" {
         usage(&format!("unknown subcommand `{subcommand}` (try fsck)"));
     }
-    let cli = match Cli::parse_from_supporting(rest, Some(SUPPORTED)) {
+    let cli = match Cli::parse_from_supporting(rest, SUPPORTED) {
         Ok(cli) => cli,
         Err(msg) => usage(&msg),
     };
     if cli.help {
         println!("usage: store fsck --store PATH");
-        print!("{}", usage_lines(Some(SUPPORTED)));
+        print!("{}", usage_lines(SUPPORTED));
         println!("exit codes: 0 log clean, 1 corruption found, 2 usage/IO error");
         return;
     }

@@ -6,155 +6,66 @@
 //!
 //! Boots an in-process solver daemon with a persistent store attached
 //! and measures, per game size: one **cold** request (program, anneal,
-//! append), then repeated identical requests answered **from disk**
-//! (`"cache":"disk"`, O(lookup) — no programming, no anneal). The
+//! append), then [`HIT_REPEATS`] identical requests answered **from
+//! disk** (`"cache":"disk"`, O(lookup) — no programming, no anneal). The
 //! daemon is then shut down and a **second** daemon is booted on the
 //! same store path: its first request per size must also be a disk hit,
 //! proving the warm boot survives a restart. Every disk-served payload
 //! is checked byte-identical to the cold response modulo provenance
-//! (`id`, `cache`, `wall_ms`, `program_ms`).
+//! (`id`, `cache`, `cache_hit`, `wall_ms`, `program_ms`).
 //!
-//! Latencies are the server-reported `wall_ms`. Without `--store` the
+//! Latencies are the server-reported `wall_ms`; the gated speedup is the
+//! cold latency over the median disk-hit latency. Without `--store` the
 //! harness uses (and removes) a throwaway log under the system temp
 //! directory; with `--store PATH` the log is yours and is kept.
 //!
-//! Emits `BENCH_store.json`. Exit status doubles as the CI gate:
-//!
-//! * exit 2 — protocol error, a repeat or post-restart request missed
-//!   the store, or a disk payload diverged from the cold solve,
-//! * exit 1 — disk hits at the 64×64 gate size are not at least 1.5×
-//!   faster than the cold solve (the store stopped paying for itself),
-//! * exit 0 — measurements recorded.
+//! Emits `BENCH_store.json` (schema v2, `cnash_bench::measure`)
+//! and exits 0 when every check and gate passes; [`HARNESS`] (`--help`)
+//! declares what exits 1 and 2 mean.
 
-use cnash_bench::client::ServiceConn;
-use cnash_bench::Cli;
-use cnash_core::report::render_table;
-use cnash_runtime::spec::{ConfigSpec, GameSpec, JobSpec, SolverSpec};
-use cnash_runtime::Json;
-use cnash_service::{serve, ServiceConfig, ServiceHandle};
+use cnash_bench::measure::{fail, solve_request, Daemon, Estimate, Harness, Report, Solved};
+use cnash_service::ServiceConfig;
 
+const HARNESS: Harness = Harness {
+    bin: "store_bench",
+    bench: "store",
+    about: "Store latency: cold (program + solve + append) vs disk-hit replay, across a restart.",
+    flags: &["--quick", "--seed", "--out", "--store"],
+    gates: "64x64 disk-hit speedup < 1.5x (the store stopped paying for itself)",
+    checks: "protocol error, a repeat or post-restart request missed the store, \
+             or a disk payload diverged from the cold solve",
+};
 /// The gate size: disk-hit speedup at 64×64 must stay ≥ this factor.
 const GATE_SIZE: usize = 64;
 const GATE_SPEEDUP: f64 = 1.5;
-/// Disk-hit repeats per grid point (the minimum is reported).
-const HIT_REPEATS: usize = 5;
+/// Disk-hit repeats per grid point (the median is reported).
+const HIT_REPEATS: usize = 9;
 
-struct Entry {
-    label: String,
-    size: usize,
-    iterations: usize,
-    cold_ms: f64,
-    disk_ms_min: f64,
-    disk_ms_mean: f64,
-    /// First-request latency against the restarted daemon (a warm-boot
-    /// disk hit).
-    warm_ms: f64,
-    /// The cold payload normalised modulo provenance — what every disk
-    /// hit must replay byte-identically.
-    normalised: String,
-}
-
-impl Entry {
-    fn speedup(&self) -> f64 {
-        self.cold_ms / self.disk_ms_min
-    }
-
-    fn json(&self) -> Json {
-        Json::obj([
-            ("label", Json::str(self.label.clone())),
-            ("size", Json::num(self.size as f64)),
-            ("iterations", Json::num(self.iterations as f64)),
-            ("cold_ms", Json::Num(self.cold_ms)),
-            ("disk_ms_min", Json::Num(self.disk_ms_min)),
-            ("disk_ms_mean", Json::Num(self.disk_ms_mean)),
-            ("warm_restart_ms", Json::Num(self.warm_ms)),
-            ("speedup", Json::Num(self.speedup())),
-        ])
-    }
-}
-
-fn solve_request(id: usize, size: usize, iterations: usize, seed: u64) -> String {
-    let job = JobSpec {
-        game: GameSpec::Random {
-            rows: size,
-            cols: size,
-            max_payoff: 3,
-            seed,
-        },
-        solver: SolverSpec::CNash {
-            config: ConfigSpec::paper(12).with_iterations(iterations),
-            hardware_seed: 0,
-        },
-        runs: 1,
-        base_seed: seed,
-        early_stop: None,
-        label: Some(format!("store-{size}x{size}")),
-    };
-    Json::obj([
-        ("op", Json::str("solve")),
-        ("id", Json::num(id as f64)),
-        ("job", job.to_json()),
-        ("ground_truth", Json::str("skip")),
-    ])
-    .compact()
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(2);
-}
-
-/// Strips the per-call provenance (`id`, `cache`, timing) so a disk
-/// replay can be compared byte-for-byte against the cold solve.
-fn normalise(doc: &Json) -> String {
-    let mut doc = doc.clone();
-    if let Json::Obj(map) = &mut doc {
-        map.remove("id");
-        map.remove("cache");
-        map.remove("wall_ms");
-        map.remove("program_ms");
-    }
-    doc.compact()
-}
-
-/// One solve round trip; returns `(from_disk, wall_ms, normalised)`.
-fn timed_solve(conn: &mut ServiceConn, request: &str) -> (bool, f64, String) {
-    let response = conn
-        .round_trip(request)
-        .unwrap_or_else(|e| fail(&format!("service connection died: {e}")));
-    let doc =
-        Json::parse(&response).unwrap_or_else(|e| fail(&format!("unparseable response: {e}")));
-    if !doc.get("ok").and_then(Json::as_bool).unwrap_or(false) {
-        fail(&format!("solve rejected: {response}"));
-    }
-    let from_disk = doc
-        .get("cache")
-        .and_then(Json::as_str)
-        .map(|c| c == "disk")
-        .unwrap_or(false);
-    let wall = doc
-        .get("wall_ms")
-        .and_then(Json::as_f64)
-        .unwrap_or_else(|e| fail(&format!("response lacks wall_ms: {e}")));
-    let normalised = normalise(&doc);
-    (from_disk, wall, normalised)
-}
-
-fn boot(store_path: &str) -> (ServiceHandle, ServiceConn) {
-    let handle = serve(ServiceConfig {
+fn boot(store_path: &str) -> Daemon {
+    Daemon::boot(ServiceConfig {
         shards: 2,
         store_path: Some(store_path.to_string()),
         ..ServiceConfig::default()
     })
-    .unwrap_or_else(|e| fail(&format!("cannot start in-process daemon: {e}")));
-    let conn = ServiceConn::connect(handle.addr())
-        .unwrap_or_else(|e| fail(&format!("cannot connect: {e}")));
-    (handle, conn)
+}
+
+/// One solve that must come from disk and replay the cold payload.
+fn disk_hit(daemon: &mut Daemon, request: &str, cold: &Solved, what: &str) -> f64 {
+    let replay = daemon.solve(request);
+    if !replay.from_disk {
+        fail(&format!("{what} request missed the store"));
+    }
+    if replay.payload != cold.payload {
+        fail(&format!(
+            "{what} disk replay diverged from the cold solve:\n  cold: {}\n  disk: {}",
+            cold.payload, replay.payload
+        ));
+    }
+    replay.wall_ns
 }
 
 fn main() {
-    let cli = Cli::parse_for(&["--quick", "--seed", "--out", "--store"]);
-    let seed = cli.seed;
+    let cli = HARNESS.parse();
     let (store_path, throwaway) = match cli.store.clone() {
         Some(path) => (path, false),
         None => {
@@ -163,7 +74,6 @@ fn main() {
             (path.to_string_lossy().into_owned(), true)
         }
     };
-
     // `(size, iterations)` grid; the 64×64 gate point belongs to every
     // grid, quick or full.
     let grid: Vec<(usize, usize)> = if cli.quick {
@@ -171,162 +81,59 @@ fn main() {
     } else {
         vec![(16, 1200), (32, 600), (64, 300)]
     };
+    let requests: Vec<String> = grid
+        .iter()
+        .enumerate()
+        .map(|(id, &(size, iterations))| {
+            let seed = cli.seed.wrapping_add(size as u64);
+            solve_request(id + 1, "store", size, iterations, seed)
+        })
+        .collect();
 
     // Daemon A: cold solves populate the store, repeats replay it.
-    let (handle, mut conn) = boot(&store_path);
-    let mut entries = Vec::new();
-    let mut next_id = 0usize;
-    for &(size, iterations) in &grid {
+    let mut daemon = boot(&store_path);
+    let mut report = Report::new(&HARNESS, &cli);
+    let mut colds = Vec::new();
+    for (&(size, iterations), request) in grid.iter().zip(&requests) {
         eprintln!("measuring {size}x{size} ({iterations} iters, {HIT_REPEATS} disk repeats)...");
-        next_id += 1;
-        let request = solve_request(next_id, size, iterations, seed.wrapping_add(size as u64));
-        let (from_disk, cold_ms, normalised) = timed_solve(&mut conn, &request);
-        if from_disk {
+        let cold = daemon.solve(request);
+        if cold.from_disk {
             fail(&format!(
                 "first {size}x{size} request was already on disk (stale --store log?)"
             ));
         }
-        let mut hits = Vec::new();
-        for _ in 0..HIT_REPEATS {
-            // Identical job spec → same store key → must be a disk hit.
-            let (from_disk, wall, replay) = timed_solve(&mut conn, &request);
-            if !from_disk {
-                fail(&format!("repeat {size}x{size} request missed the store"));
-            }
-            if replay != normalised {
-                fail(&format!(
-                    "{size}x{size} disk replay diverged from the cold solve:\n  cold: {normalised}\n  disk: {replay}"
-                ));
-            }
-            hits.push(wall);
+        // Identical job spec → same store key → must be a disk hit.
+        let what = format!("repeat {size}x{size}");
+        let hits: Vec<f64> = (0..HIT_REPEATS)
+            .map(|_| disk_hit(&mut daemon, request, &cold, &what))
+            .collect();
+        let disk = Estimate::of(&hits);
+        report.entry(
+            format!("store-{size}x{size} cold"),
+            Estimate::of(&[cold.wall_ns]),
+        );
+        report.entry(format!("store-{size}x{size} disk"), disk);
+        if size == GATE_SIZE {
+            report.at_least("speedup_64x64", cold.wall_ns / disk.value, GATE_SPEEDUP);
         }
-        let disk_ms_min = hits.iter().copied().fold(f64::INFINITY, f64::min);
-        let disk_ms_mean = hits.iter().sum::<f64>() / hits.len() as f64;
-        entries.push(Entry {
-            label: format!("store-{size}x{size}"),
-            size,
-            iterations,
-            cold_ms,
-            disk_ms_min,
-            disk_ms_mean,
-            warm_ms: f64::NAN,
-            normalised,
-        });
+        colds.push(cold);
     }
-    let _ = conn.round_trip(r#"{"op":"shutdown"}"#);
-    handle.join();
+    daemon.shutdown();
 
     // Daemon B on the same path: the warm boot must serve every grid
     // point from disk on the very first request.
-    let (handle, mut conn) = boot(&store_path);
-    let warm_records = handle.store().map(|s| s.open_report().records).unwrap_or(0);
-    let mut next_id = 0usize;
-    for entry in &mut entries {
-        next_id += 1;
-        let request = solve_request(
-            next_id,
-            entry.size,
-            entry.iterations,
-            seed.wrapping_add(entry.size as u64),
+    let mut daemon = boot(&store_path);
+    for ((&(size, _), request), cold) in grid.iter().zip(&requests).zip(&colds) {
+        let what = format!("post-restart {size}x{size}");
+        let warm = disk_hit(&mut daemon, request, cold, &what);
+        report.entry(
+            format!("store-{size}x{size} restart"),
+            Estimate::of(&[warm]),
         );
-        let (from_disk, wall, replay) = timed_solve(&mut conn, &request);
-        if !from_disk {
-            fail(&format!(
-                "post-restart {0}x{0} request missed the store — warm boot lost the record",
-                entry.size
-            ));
-        }
-        if replay != entry.normalised {
-            fail(&format!(
-                "post-restart {0}x{0} replay diverged from the cold solve",
-                entry.size
-            ));
-        }
-        entry.warm_ms = wall;
     }
-    let _ = conn.round_trip(r#"{"op":"shutdown"}"#);
-    handle.join();
+    daemon.shutdown();
     if throwaway {
         let _ = std::fs::remove_file(&store_path);
     }
-
-    let rows: Vec<Vec<String>> = entries
-        .iter()
-        .map(|e| {
-            vec![
-                e.label.clone(),
-                format!("{:.2}", e.cold_ms),
-                format!("{:.3}", e.disk_ms_min),
-                format!("{:.3}", e.disk_ms_mean),
-                format!("{:.3}", e.warm_ms),
-                format!("{:.1}x", e.speedup()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Store latency: cold (program + solve + append) vs disk-hit replay",
-            &[
-                "case",
-                "cold ms",
-                "disk ms (min)",
-                "disk ms (mean)",
-                "restart ms",
-                "speedup"
-            ],
-            &rows,
-        )
-    );
-
-    let gate = entries
-        .iter()
-        .find(|e| e.size == GATE_SIZE)
-        .map(Entry::speedup);
-    let doc = Json::obj([
-        ("bench", Json::str("store")),
-        ("schema_version", Json::num(1.0)),
-        ("mode", Json::str(if cli.quick { "quick" } else { "full" })),
-        ("seed", Json::num(seed as f64)),
-        ("warm_boot_records", Json::uint(warm_records)),
-        (
-            "entries",
-            Json::Arr(entries.iter().map(Entry::json).collect()),
-        ),
-        (
-            "summary",
-            Json::obj([
-                (
-                    "speedup_min",
-                    Json::Num(
-                        entries
-                            .iter()
-                            .map(Entry::speedup)
-                            .fold(f64::INFINITY, f64::min),
-                    ),
-                ),
-                ("speedup_64x64", gate.map(Json::Num).unwrap_or(Json::Null)),
-                ("gate_speedup", Json::Num(GATE_SPEEDUP)),
-            ]),
-        ),
-    ]);
-    let out_path = cli.out.as_deref().unwrap_or("BENCH_store.json");
-    if let Err(e) = std::fs::write(out_path, doc.pretty()) {
-        fail(&format!("cannot write {out_path}: {e}"));
-    }
-    println!("wrote {out_path}");
-
-    match gate {
-        Some(s) if s < GATE_SPEEDUP => {
-            eprintln!(
-                "FAIL: {GATE_SIZE}x{GATE_SIZE} disk-hit speedup {s:.2}x < {GATE_SPEEDUP}x — \
-                 the solution store no longer pays for itself"
-            );
-            std::process::exit(1);
-        }
-        Some(s) => {
-            println!("{GATE_SIZE}x{GATE_SIZE} disk-hit speedup: {s:.2}x (gate: >= {GATE_SPEEDUP}x)")
-        }
-        None => println!("note: no {GATE_SIZE}x{GATE_SIZE} point in this grid"),
-    }
+    report.finish();
 }

@@ -5,13 +5,14 @@
 //!
 //! Boots an in-process solver daemon, warms the instance cache with one
 //! cold 64×64 solve, then replays the *identical* cache-hit request in
-//! interleaved batches with telemetry enabled and disabled
-//! (`cnash_telemetry::set_enabled`), comparing the minimum summed
-//! server-reported `wall_ms` per batch of each mode. Interleaving (on
-//! batch, off batch, on batch, …) decorrelates thermal/scheduler drift
-//! from the mode; batching amortises per-request jitter (a single
-//! cache hit is ~2 ms, well inside OS-scheduler noise) and the minimum
-//! over many batches is the standard low-noise latency estimator.
+//! interleaved pairs of batches, one batch with telemetry enabled and
+//! one with it disabled (`cnash_telemetry::set_enabled`), the order
+//! alternating from pair to pair. A sample is the mean server-reported
+//! `wall_ms` of one batch of [`BATCH`] requests; the overhead is the
+//! median per-pair enabled/disabled ratio minus one
+//! (`cnash_bench::measure::paired`). A single cache hit is ~2 ms, well
+//! inside OS-scheduler noise; pairing cancels drift and the median
+//! ignores the pairs a stall spoiled.
 //!
 //! The harness also proves the observability contract along the way:
 //! the deterministic payload of every response (timing fields stripped)
@@ -19,221 +20,82 @@
 //! changed a solver answer is a correctness bug, not an overhead
 //! problem.
 //!
-//! Emits `BENCH_telemetry.json`. Exit status doubles as the CI gate:
-//!
-//! * exit 2 — protocol error, a repeat request missed the cache, or an
-//!   on/off response diverged (telemetry touched solver output),
-//! * exit 1 — enabled-mode latency exceeds disabled-mode latency by
-//!   more than the 5% gate on the 64×64 cache-hit path,
-//! * exit 0 — measurements recorded.
+//! Emits `BENCH_telemetry.json` (schema v2, `cnash_bench::measure`)
+//! and exits 0 when every check and gate passes; [`HARNESS`] (`--help`)
+//! declares what exits 1 and 2 mean.
 
-use cnash_bench::client::ServiceConn;
-use cnash_bench::Cli;
-use cnash_core::report::render_table;
-use cnash_runtime::spec::{ConfigSpec, GameSpec, JobSpec, SolverSpec};
-use cnash_runtime::Json;
-use cnash_service::{serve, strip_timing, ServiceConfig};
+use cnash_bench::measure::{fail, paired, solve_request, Daemon, Estimate, Harness, Report, Side};
+use cnash_service::ServiceConfig;
 
+const HARNESS: Harness = Harness {
+    bin: "telemetry_bench",
+    bench: "telemetry",
+    about: "Telemetry recorder overhead on the 64x64 cache-hit service path.",
+    flags: &["--quick", "--seed", "--out"],
+    gates: "telemetry overhead > 5%",
+    checks: "protocol error, a repeat request missed the cache, \
+             or telemetry changed a response",
+};
 /// The gate: enabled-vs-disabled overhead on the 64×64 cache-hit
 /// service path must stay under this fraction.
 const GATE_OVERHEAD: f64 = 0.05;
 const GATE_SIZE: usize = 64;
 const ITERATIONS: usize = 300;
-/// Cache-hit round trips summed into one timing sample.
+/// Cache-hit round trips averaged into one sample.
 const BATCH: usize = 8;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(2);
-}
-
-fn solve_request(id: usize, seed: u64) -> String {
-    let job = JobSpec {
-        game: GameSpec::Random {
-            rows: GATE_SIZE,
-            cols: GATE_SIZE,
-            max_payoff: 3,
-            seed,
-        },
-        solver: SolverSpec::CNash {
-            config: ConfigSpec::paper(12).with_iterations(ITERATIONS),
-            hardware_seed: 0,
-        },
-        runs: 1,
-        base_seed: seed,
-        early_stop: None,
-        label: Some(format!("telemetry-{GATE_SIZE}x{GATE_SIZE}")),
-    };
-    Json::obj([
-        ("op", Json::str("solve")),
-        ("id", Json::num(id as f64)),
-        ("job", job.to_json()),
-        ("ground_truth", Json::str("skip")),
-    ])
-    .compact()
-}
-
-/// One solve round trip; returns `(cache_hit, wall_ms, stripped doc)`.
-fn timed_solve(conn: &mut ServiceConn, request: &str) -> (bool, f64, String) {
-    let response = conn
-        .round_trip(request)
-        .unwrap_or_else(|e| fail(&format!("service connection died: {e}")));
-    let mut doc =
-        Json::parse(&response).unwrap_or_else(|e| fail(&format!("unparseable response: {e}")));
-    if !doc.get("ok").and_then(Json::as_bool).unwrap_or(false) {
-        fail(&format!("solve rejected: {response}"));
-    }
-    let hit = doc
-        .get("cache_hit")
-        .and_then(Json::as_bool)
-        .unwrap_or_else(|e| fail(&format!("response lacks cache_hit: {e}")));
-    let wall = doc
-        .get("wall_ms")
-        .and_then(Json::as_f64)
-        .unwrap_or_else(|e| fail(&format!("response lacks wall_ms: {e}")));
-    strip_timing(&mut doc);
-    if let Json::Obj(map) = &mut doc {
-        // cache_hit is false exactly once (the warming request);
-        // everything else must be mode-independent.
-        map.remove("cache_hit");
-        map.remove("id");
-    }
-    (hit, wall, doc.compact())
-}
-
-fn min_of(samples: &[f64]) -> f64 {
-    samples.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-fn mean_of(samples: &[f64]) -> f64 {
-    samples.iter().sum::<f64>() / samples.len() as f64
-}
+/// Interleaved (enabled, disabled) batch pairs, quick and full.
+const PAIRS_QUICK: usize = 60;
+const PAIRS_FULL: usize = 120;
 
 fn main() {
-    let cli = Cli::parse_for(&["--quick", "--seed", "--out"]);
-    let repeats = if cli.quick { 5 } else { 9 };
-
-    let handle = serve(ServiceConfig {
+    let cli = HARNESS.parse();
+    let pairs = if cli.quick { PAIRS_QUICK } else { PAIRS_FULL };
+    let mut daemon = Daemon::boot(ServiceConfig {
         shards: 2,
         ..ServiceConfig::default()
-    })
-    .unwrap_or_else(|e| fail(&format!("cannot start in-process daemon: {e}")));
-    let mut conn = ServiceConn::connect(handle.addr())
-        .unwrap_or_else(|e| fail(&format!("cannot connect: {e}")));
+    });
 
     // Warm the cache (telemetry on — the production default).
     cnash_telemetry::set_enabled(true);
-    let mut next_id = 0usize;
-    next_id += 1;
-    let request = solve_request(next_id, cli.seed.wrapping_add(GATE_SIZE as u64));
-    let (hit, _, reference) = timed_solve(&mut conn, &request);
-    if hit {
+    let seed = cli.seed.wrapping_add(GATE_SIZE as u64);
+    let request = solve_request(1, "telemetry", GATE_SIZE, ITERATIONS, seed);
+    let reference = daemon.solve(&request);
+    if reference.cache_hit {
         fail("the warming request already hit the cache");
     }
 
     eprintln!(
-        "measuring {GATE_SIZE}x{GATE_SIZE} cache-hit path, {repeats} interleaved \
-         batches of {BATCH} per mode..."
+        "measuring {GATE_SIZE}x{GATE_SIZE} cache-hit path, {pairs} interleaved \
+         pairs of {BATCH}-request batches..."
     );
-    let mut on_ms = Vec::new();
-    let mut off_ms = Vec::new();
-    for _ in 0..repeats {
-        for (enabled, sink) in [(true, &mut on_ms), (false, &mut off_ms)] {
-            cnash_telemetry::set_enabled(enabled);
-            let mut batch_ms = 0.0;
-            for _ in 0..BATCH {
-                let (hit, wall, stripped) = timed_solve(&mut conn, &request);
-                if !hit {
-                    cnash_telemetry::set_enabled(true);
-                    fail("a repeat request missed the cache");
-                }
-                if stripped != reference {
-                    cnash_telemetry::set_enabled(true);
-                    fail(&format!(
-                        "solver output diverged with telemetry {}:\n  got: {stripped}\n  want: {reference}",
-                        if enabled { "enabled" } else { "disabled" },
-                    ));
-                }
-                batch_ms += wall;
+    let samples = paired(pairs, |side| {
+        let enabled = side == Side::A;
+        cnash_telemetry::set_enabled(enabled);
+        let mut batch_ns = 0.0;
+        for _ in 0..BATCH {
+            let hit = daemon.solve(&request);
+            if !hit.cache_hit {
+                fail("a repeat request missed the cache");
             }
-            sink.push(batch_ms);
+            if hit.payload != reference.payload {
+                fail(&format!(
+                    "solver output diverged with telemetry {}:\n  got: {}\n  want: {}",
+                    if enabled { "enabled" } else { "disabled" },
+                    hit.payload,
+                    reference.payload,
+                ));
+            }
+            batch_ns += hit.wall_ns;
         }
-    }
+        batch_ns / BATCH as f64
+    });
     cnash_telemetry::set_enabled(true);
-    let _ = conn.round_trip(r#"{"op":"shutdown"}"#);
-    handle.join();
+    daemon.shutdown();
 
-    // Per-request milliseconds, from the quietest batch of each mode.
-    let on_min = min_of(&on_ms) / BATCH as f64;
-    let off_min = min_of(&off_ms) / BATCH as f64;
-    // Negative differences are measurement noise, not a time machine.
-    let overhead = ((on_min - off_min) / off_min).max(0.0);
-
-    let on_mean = mean_of(&on_ms) / BATCH as f64;
-    let off_mean = mean_of(&off_ms) / BATCH as f64;
-    println!(
-        "{}",
-        render_table(
-            "Telemetry recorder overhead on the cache-hit service path",
-            &["mode", "wall ms/req (min batch)", "wall ms/req (mean)"],
-            &[
-                vec![
-                    "enabled".into(),
-                    format!("{on_min:.3}"),
-                    format!("{on_mean:.3}"),
-                ],
-                vec![
-                    "disabled".into(),
-                    format!("{off_min:.3}"),
-                    format!("{off_mean:.3}"),
-                ],
-            ],
-        )
-    );
-
-    let doc = Json::obj([
-        ("bench", Json::str("telemetry")),
-        ("schema_version", Json::num(1.0)),
-        ("mode", Json::str(if cli.quick { "quick" } else { "full" })),
-        ("seed", Json::uint(cli.seed)),
-        ("size", Json::num(GATE_SIZE as f64)),
-        ("iterations", Json::num(ITERATIONS as f64)),
-        ("repeats", Json::num(repeats as f64)),
-        ("batch", Json::num(BATCH as f64)),
-        (
-            "enabled_ms_per_req",
-            Json::obj([("min", Json::Num(on_min)), ("mean", Json::Num(on_mean))]),
-        ),
-        (
-            "disabled_ms_per_req",
-            Json::obj([("min", Json::Num(off_min)), ("mean", Json::Num(off_mean))]),
-        ),
-        (
-            "summary",
-            Json::obj([
-                ("overhead_frac", Json::Num(overhead)),
-                ("gate_frac", Json::Num(GATE_OVERHEAD)),
-            ]),
-        ),
-    ]);
-    let out_path = cli.out.as_deref().unwrap_or("BENCH_telemetry.json");
-    if let Err(e) = std::fs::write(out_path, doc.pretty()) {
-        fail(&format!("cannot write {out_path}: {e}"));
-    }
-    println!("wrote {out_path}");
-
-    if overhead > GATE_OVERHEAD {
-        eprintln!(
-            "FAIL: telemetry overhead {:.1}% > {:.0}% gate on the \
-             {GATE_SIZE}x{GATE_SIZE} cache-hit path",
-            overhead * 100.0,
-            GATE_OVERHEAD * 100.0
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "telemetry overhead: {:.2}% (gate: <= {:.0}%)",
-        overhead * 100.0,
-        GATE_OVERHEAD * 100.0
-    );
+    let mut report = Report::new(&HARNESS, &cli);
+    let label = format!("{GATE_SIZE}x{GATE_SIZE} hit, telemetry");
+    report.entry(format!("{label} on"), Estimate::of(&samples.a));
+    report.entry(format!("{label} off"), Estimate::of(&samples.b));
+    report.at_most("overhead_frac", samples.ratio().value - 1.0, GATE_OVERHEAD);
+    report.finish();
 }

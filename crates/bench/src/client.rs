@@ -1,9 +1,11 @@
 //! Client-side plumbing for the solver service's JSON-lines protocol.
 //!
-//! Shared by the `service_client` CLI, the `service_bench` harness and
-//! the repository-root round-trip test: a thin line-framed connection
-//! plus the golden-file normalisation (strip wall-clock fields,
-//! re-serialise canonically).
+//! Used by the `service_client` CLI, the gate harness
+//! ([`crate::measure`]: `service_bench`, `store_bench`,
+//! `telemetry_bench`, `service_load`) and the repository-root tests
+//! (`service_roundtrip`, `store_persistence`): a thin line-framed
+//! connection plus the golden-file normalisation (strip wall-clock
+//! fields, re-serialise canonically).
 
 use cnash_runtime::Json;
 use std::io::{BufRead, BufReader, Write};
@@ -27,15 +29,16 @@ impl ServiceConn {
         Ok(Self { reader, writer })
     }
 
-    /// Sends one request line.
+    /// Sends one request line, newline included, in a single write: a
+    /// separate write of the `\n` would wait out Nagle's algorithm
+    /// against the peer's delayed ACK (~40 ms per serial round trip).
     ///
     /// # Errors
     ///
     /// Propagates write errors.
     pub fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.trim().as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        self.writer
+            .write_all(format!("{}\n", line.trim()).as_bytes())
     }
 
     /// Receives one response line (`None` on EOF).
@@ -142,6 +145,27 @@ mod tests {
         conn.finish_writes();
         assert_eq!(conn.recv_line().unwrap(), None, "EOF after half-close");
         handle.stop();
+    }
+
+    #[test]
+    fn serial_round_trips_do_not_stall_on_delayed_acks() {
+        let handle = serve(ServiceConfig::default()).unwrap();
+        let mut conn = ServiceConn::connect(handle.addr()).unwrap();
+        let start = std::time::Instant::now();
+        for id in 0..20 {
+            let pong = conn
+                .round_trip(&format!(r#"{{"op":"ping","id":{id}}}"#))
+                .unwrap();
+            assert!(pong.contains("\"pong\":true"));
+        }
+        let elapsed = start.elapsed();
+        handle.stop();
+        // A line split over two writes waits ~40 ms per round trip for
+        // the peer's delayed ACK: 20 of them take at least 800 ms.
+        assert!(
+            elapsed < std::time::Duration::from_millis(400),
+            "20 serial pings took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -57,11 +57,12 @@
 //! * `--jobs-file PATH` — run a JSON jobs file through the portfolio
 //!   runtime (the `batch` binary) or replay a counterexample
 //!   (`diffcheck`),
-//! * `--help` — binary-specific usage (for `diffcheck`: including its
-//!   exit-code contract).
+//! * `--help` — binary-specific usage (for `diffcheck` and the gate
+//!   binaries of [`measure`]: including the exit-code contract).
 
 pub mod client;
 pub mod diffcheck;
+pub mod measure;
 
 use cnash_core::baselines::DWaveNashSolver;
 use cnash_core::{CNashConfig, CNashSolver, GameReport, NashSolver};
@@ -109,7 +110,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--quick",
         value: None,
-        help: "reduced measurement grid for CI smoke runs (perf binary)",
+        help: "reduced measurement grid for CI smoke runs (gate binaries)",
     },
     FlagSpec {
         name: "--out",
@@ -119,7 +120,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--addr",
         value: Some("HOST:PORT"),
-        help: "solver-service address (service_client)",
+        help: "solver-service address (service_client, service_load)",
     },
     FlagSpec {
         name: "--requests",
@@ -215,47 +216,22 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parses `std::env::args`. Unknown flags abort with a usage message.
-    pub fn parse() -> Self {
-        Self::parse_supporting(None)
-    }
-
     /// Parses `std::env::args` against a restricted flag subset: flags
     /// outside `supported` abort with a usage message listing only the
     /// binary's own flags — a binary never silently ignores an option
     /// that does not apply to it.
     pub fn parse_for(supported: &[&str]) -> Self {
-        Self::parse_supporting(Some(supported))
-    }
-
-    fn parse_supporting(supported: Option<&[&str]>) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match Self::parse_from_supporting(&args, supported) {
-            Ok(cli) => cli,
-            Err(msg) => usage(&msg, supported),
-        }
+        Self::parse_from_supporting(&args, supported).unwrap_or_else(|msg| usage(&msg, supported))
     }
 
-    /// Parses an explicit argument list (all flags allowed).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first invalid or unknown flag.
-    pub fn parse_from(args: &[String]) -> Result<Self, String> {
-        Self::parse_from_supporting(args, None)
-    }
-
-    /// Parses an explicit argument list against a flag subset
-    /// (`None` = the full table).
+    /// Parses an explicit argument list against a flag subset.
     ///
     /// # Errors
     ///
     /// Returns a message describing the first invalid, unknown or
     /// unsupported flag.
-    pub fn parse_from_supporting(
-        args: &[String],
-        supported: Option<&[&str]>,
-    ) -> Result<Self, String> {
+    pub fn parse_from_supporting(args: &[String], supported: &[&str]) -> Result<Self, String> {
         let mut cli = Cli {
             runs: 500,
             conns: 1000,
@@ -269,10 +245,8 @@ impl Cli {
                 .iter()
                 .find(|f| f.name == arg)
                 .ok_or_else(|| format!("unknown flag {arg}"))?;
-            if let Some(subset) = supported {
-                if !subset.contains(&arg) {
-                    return Err(format!("flag {arg} is not supported by this binary"));
-                }
+            if !supported.contains(&arg) {
+                return Err(format!("flag {arg} is not supported by this binary"));
             }
             let value = if spec.value.is_some() {
                 i += 1;
@@ -350,26 +324,22 @@ impl Cli {
     }
 }
 
-/// The flag-table help text for a binary's flag subset (`None` = every
-/// flag) — what `usage` prints, exposed so binaries can build their own
-/// `--help` output around it.
-pub fn usage_lines(supported: Option<&[&str]>) -> String {
+/// The flag-table help text for a binary's flag subset — what `usage`
+/// prints, exposed so binaries can build their own `--help` output
+/// around it.
+pub fn usage_lines(supported: &[&str]) -> String {
     let mut out = String::new();
-    for f in FLAGS {
-        if let Some(subset) = supported {
-            if !subset.contains(&f.name) {
-                continue;
-            }
-        }
-        match f.value {
-            Some(v) => out.push_str(&format!("  {} {:<9} {}\n", f.name, v, f.help)),
-            None => out.push_str(&format!("  {:<18} {}\n", f.name, f.help)),
-        }
+    for f in FLAGS.iter().filter(|f| supported.contains(&f.name)) {
+        let flag = match f.value {
+            Some(v) => format!("{} {v}", f.name),
+            None => f.name.to_string(),
+        };
+        out.push_str(&format!("  {flag:<20} {}\n", f.help));
     }
     out
 }
 
-fn usage(msg: &str, supported: Option<&[&str]>) -> ! {
+fn usage(msg: &str, supported: &[&str]) -> ! {
     eprintln!("error: {msg}");
     eprintln!("usage: <bin> [flags]");
     eprint!("{}", usage_lines(supported));
@@ -434,9 +404,15 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Parses against the whole flag table.
+    fn parse_all(args: &[String]) -> Result<Cli, String> {
+        let all: Vec<&str> = FLAGS.iter().map(|f| f.name).collect();
+        Cli::parse_from_supporting(args, &all)
+    }
+
     #[test]
     fn parses_all_flags() {
-        let cli = Cli::parse_from(&args(&[
+        let cli = parse_all(&args(&[
             "--runs",
             "12",
             "--seed",
@@ -494,14 +470,13 @@ mod tests {
 
     #[test]
     fn help_flag_parses_and_is_subset_gated() {
-        let cli = Cli::parse_from(&args(&["--help"])).unwrap();
+        let cli = parse_all(&args(&["--help"])).unwrap();
         assert!(cli.help);
-        let cli =
-            Cli::parse_from_supporting(&args(&["--help"]), Some(&["--help", "--quick"])).unwrap();
+        let cli = Cli::parse_from_supporting(&args(&["--help"]), &["--help", "--quick"]).unwrap();
         assert!(cli.help);
-        assert!(Cli::parse_from_supporting(&args(&["--help"]), Some(&["--quick"])).is_err());
+        assert!(Cli::parse_from_supporting(&args(&["--help"]), &["--quick"]).is_err());
         // The usage text respects the subset filter.
-        let lines = usage_lines(Some(&["--quick", "--help"]));
+        let lines = usage_lines(&["--quick", "--help"]);
         assert!(lines.contains("--quick") && lines.contains("--help"));
         assert!(!lines.contains("--runs"));
     }
@@ -511,39 +486,39 @@ mod tests {
         let subset: &[&str] = &["--jobs-file", "--threads"];
         let ok = Cli::parse_from_supporting(
             &args(&["--jobs-file", "jobs.json", "--threads", "2"]),
-            Some(subset),
+            subset,
         )
         .unwrap();
         assert_eq!(ok.jobs_file.as_deref(), Some("jobs.json"));
         // A flag that exists in the global table but not in this
         // binary's subset is an error, never silently ignored.
-        let err = Cli::parse_from_supporting(&args(&["--runs", "5"]), Some(subset)).unwrap_err();
+        let err = Cli::parse_from_supporting(&args(&["--runs", "5"]), subset).unwrap_err();
         assert!(err.contains("--runs"), "{err}");
         assert!(err.contains("not supported"), "{err}");
         // Truly unknown flags keep their own message.
-        let err = Cli::parse_from_supporting(&args(&["--warp"]), Some(subset)).unwrap_err();
+        let err = Cli::parse_from_supporting(&args(&["--warp"]), subset).unwrap_err();
         assert!(err.contains("unknown flag"), "{err}");
     }
 
     #[test]
     fn full_overrides_runs() {
-        let cli = Cli::parse_from(&args(&["--runs", "7", "--full"])).unwrap();
+        let cli = parse_all(&args(&["--runs", "7", "--full"])).unwrap();
         assert!(cli.full);
         assert_eq!(cli.runs, 5000);
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(Cli::parse_from(&args(&["--bogus"])).is_err());
-        assert!(Cli::parse_from(&args(&["--runs"])).is_err());
-        assert!(Cli::parse_from(&args(&["--runs", "x"])).is_err());
-        assert!(Cli::parse_from(&args(&["--runs", "0"])).is_err());
-        assert!(Cli::parse_from(&args(&["--seed", "-3"])).is_err());
+        assert!(parse_all(&args(&["--bogus"])).is_err());
+        assert!(parse_all(&args(&["--runs"])).is_err());
+        assert!(parse_all(&args(&["--runs", "x"])).is_err());
+        assert!(parse_all(&args(&["--runs", "0"])).is_err());
+        assert!(parse_all(&args(&["--seed", "-3"])).is_err());
     }
 
     #[test]
     fn defaults() {
-        let cli = Cli::parse_from(&[]).unwrap();
+        let cli = parse_all(&[]).unwrap();
         assert_eq!(cli.runs, 500);
         assert_eq!(cli.threads, 0);
         assert_eq!(cli.jobs_file, None);
@@ -556,8 +531,8 @@ mod tests {
     #[test]
     fn iterations_scaling() {
         let bench = &paper_benchmarks()[0];
-        let quick = Cli::parse_from(&args(&["--runs", "10"])).unwrap();
-        let full = Cli::parse_from(&args(&["--runs", "10", "--full"])).unwrap();
+        let quick = parse_all(&args(&["--runs", "10"])).unwrap();
+        let full = parse_all(&args(&["--runs", "10", "--full"])).unwrap();
         assert_eq!(quick.iterations(bench), 2000);
         assert_eq!(full.iterations(bench), 10_000);
     }
