@@ -16,16 +16,23 @@
 //!   per proposal).
 //!
 //! Each grid point runs [`PAIRS`] interleaved (full, delta) pairs; its
-//! speedup is the median per-pair ratio. Emits `BENCH_sa_hotpath.json`
-//! (schema v2, `cnash_bench::measure`) and exits 0 when every check and
-//! gate passes; [`HARNESS`] (`--help`) declares what exits 1 and 2 mean.
+//! speedup is the median per-pair ratio. Ungated layer rows follow: ns
+//! per ground-truth enumeration of fixed family instances, float
+//! `enumerate_equilibria` at 6×6 and 8×8 and exact `enumerate_exact`
+//! at 4×4 (the oracle behind every cold request's coverage figure).
+//! Emits `BENCH_sa_hotpath.json` (schema v2, `cnash_bench::measure`)
+//! and exits 0 when every check and gate passes; [`HARNESS`]
+//! (`--help`) declares what exits 1 and 2 mean.
 
 use cnash_anneal::delta::{simulated_annealing_delta, DeltaEnergy};
 use cnash_anneal::engine::{simulated_annealing, SaOptions};
 use cnash_anneal::moves::GridStrategyPair;
 use cnash_bench::measure::{fail, paired, Estimate, Harness, Paired, Report, Side};
 use cnash_core::{CNashConfig, CNashSolver};
+use cnash_game::exact_enum::enumerate_exact;
+use cnash_game::families::Family;
 use cnash_game::generators::random_integer_game;
+use cnash_game::support_enum::enumerate_equilibria;
 use cnash_qubo::annealer::{anneal, anneal_incremental, AnnealParams};
 use cnash_qubo::Qubo;
 use rand::rngs::StdRng;
@@ -158,6 +165,43 @@ fn record(report: &mut Report, label: String, samples: Paired) -> f64 {
     speedup
 }
 
+/// Timed calls per enumeration layer row.
+const ENUM_SAMPLES: usize = 9;
+
+/// Median and P10–P90 ns of [`ENUM_SAMPLES`] calls of `f`.
+fn per_call<T>(f: impl Fn() -> T) -> Estimate {
+    let ns: Vec<f64> = (0..ENUM_SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            ns_per(start, 1)
+        })
+        .collect();
+    Estimate::of(&ns)
+}
+
+/// Adds the enumeration layer rows: ns per call of each ground-truth
+/// oracle on a fixed covariant-family instance (seed 0, default knobs).
+fn record_enumeration(report: &mut Report) {
+    eprintln!("measuring support enumeration...");
+    let family = Family::Covariant;
+    let game = |n| {
+        family
+            .build(n, family.default_scale(), family.default_knob(), 0)
+            .expect("valid family instance")
+    };
+    let (g4, g6, g8) = (game(4), game(6), game(8));
+    report.entry(
+        "enumerate-float-6x6",
+        per_call(|| enumerate_equilibria(&g6, 1e-9)),
+    );
+    report.entry(
+        "enumerate-float-8x8",
+        per_call(|| enumerate_equilibria(&g8, 1e-9)),
+    );
+    report.entry("enumerate-exact-4x4", per_call(|| enumerate_exact(&g4)));
+}
+
 /// `(actions per side, max payoff, SA iterations)` crossbar grid points,
 /// quick and full; the 64×64 gate point belongs to both.
 const CROSSBAR_QUICK: &[(usize, u32, usize)] = &[(8, 3, 2000), (64, 3, 400)];
@@ -203,5 +247,6 @@ fn main() {
         let samples = bench_qubo(&label, vars, density, sweeps, seed);
         record(&mut report, label, samples);
     }
+    record_enumeration(&mut report);
     report.finish();
 }

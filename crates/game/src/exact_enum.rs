@@ -28,7 +28,7 @@ use crate::bimatrix::BimatrixGame;
 use crate::equilibrium::Equilibrium;
 use crate::error::GameError;
 use crate::strategy::MixedStrategy;
-use crate::support_enum::{subsets_of_size, MAX_ENUM_ACTIONS};
+use crate::support_enum::{for_each_support_pair, MAX_ENUM_ACTIONS};
 use cnash_exact::linalg::{solve as exact_solve, LinSolve};
 use cnash_exact::{feasible_point, Constraint, Rat};
 
@@ -101,27 +101,23 @@ pub fn enumerate_exact(game: &BimatrixGame) -> Vec<ExactEquilibrium> {
         .collect();
 
     let mut found: Vec<ExactEquilibrium> = Vec::new();
-    for k in 1..=n.min(m) {
-        for s in subsets_of_size(n, k) {
-            for t in subsets_of_size(m, k) {
-                let Some((q, q_sing)) = solve_side(&a, &s, &t, m) else {
-                    continue;
-                };
-                let Some((p, p_sing)) = solve_side(&bt, &t, &s, n) else {
-                    continue;
-                };
-                let eq = ExactEquilibrium {
-                    row: p,
-                    col: q,
-                    singular: q_sing || p_sing,
-                };
-                debug_assert!(verify_exact(game, &eq), "support-pair solution must verify");
-                if !found.iter().any(|e| e.row == eq.row && e.col == eq.col) {
-                    found.push(eq);
-                }
-            }
+    for_each_support_pair(n, m, |s, t| {
+        let Some((q, q_sing)) = solve_side(&a, s, t, m) else {
+            return;
+        };
+        let Some((p, p_sing)) = solve_side(&bt, t, s, n) else {
+            return;
+        };
+        let eq = ExactEquilibrium {
+            row: p,
+            col: q,
+            singular: q_sing || p_sing,
+        };
+        debug_assert!(verify_exact(game, &eq), "support-pair solution must verify");
+        if !found.iter().any(|e| e.row == eq.row && e.col == eq.col) {
+            found.push(eq);
         }
-    }
+    });
     found.sort_by(|x, y| x.row.cmp(&y.row).then_with(|| x.col.cmp(&y.col)));
     found
 }

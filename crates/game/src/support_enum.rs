@@ -12,7 +12,6 @@
 
 use crate::bimatrix::BimatrixGame;
 use crate::equilibrium::{dedup_equilibria, Equilibrium};
-use crate::linalg::solve;
 use crate::matrix::Matrix;
 use crate::strategy::MixedStrategy;
 
@@ -24,8 +23,9 @@ pub const MAX_ENUM_ACTIONS: usize = 16;
 ///
 /// `tol` is the numerical tolerance for feasibility (probabilities ≥ −tol)
 /// and best-response slack. Returned equilibria are deduplicated with an
-/// `L∞` profile tolerance of `1e-6` and sorted by (row support, col
-/// support) for reproducibility.
+/// `L∞` profile tolerance of `1e-6` and sorted lexicographically by their
+/// concatenated probability vector (row mixture, then column mixture) for
+/// reproducibility.
 ///
 /// # Panics
 ///
@@ -47,19 +47,26 @@ pub fn enumerate_equilibria(game: &BimatrixGame, tol: f64) -> Vec<Equilibrium> {
         "support enumeration limited to {MAX_ENUM_ACTIONS} actions per player"
     );
 
+    // Column player's payoff matrix transposed once: rows become column
+    // actions, so both sides share one indifference kernel.
+    let a = game.row_payoffs();
+    let nt = game.col_payoffs().transposed();
+    let mut scratch = Scratch::default();
     let mut found = Vec::new();
-    let max_k = n.min(m);
-    for k in 1..=max_k {
-        for s in subsets_of_size(n, k) {
-            for t in subsets_of_size(m, k) {
-                if let Some((p, q)) = try_support_pair(game, &s, &t, tol) {
-                    if game.is_equilibrium(&p, &q, tol.max(1e-9)) {
-                        found.push(Equilibrium::from_profile(game, p, q));
-                    }
-                }
-            }
+    for_each_support_pair(n, m, |s, t| {
+        let Some(q) = solve_indifference(a, s, t, m, tol, &mut scratch) else {
+            return;
+        };
+        let Some(p) = solve_indifference(&nt, t, s, n, tol, &mut scratch) else {
+            return;
+        };
+        let (Ok(p), Ok(q)) = (MixedStrategy::new(p), MixedStrategy::new(q)) else {
+            return;
+        };
+        if game.is_equilibrium(&p, &q, tol.max(1e-9)) {
+            found.push(Equilibrium::from_profile(game, p, q));
         }
-    }
+    });
     let mut out = dedup_equilibria(found, 1e-6);
     out.sort_by(|a, b| {
         let ka = profile_key(a);
@@ -84,36 +91,41 @@ fn profile_key(e: &Equilibrium) -> Vec<f64> {
     k
 }
 
-/// All subsets of `{0..n}` with exactly `k` elements, in lexicographic
-/// order of their bitmasks. Shared with the exact enumerator so both
-/// oracles walk support pairs in the same order.
-pub(crate) fn subsets_of_size(n: usize, k: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    for mask in 0u32..(1u32 << n) {
-        if mask.count_ones() as usize == k {
-            out.push((0..n).filter(|i| mask & (1 << i) != 0).collect());
+/// Calls `f(s, t)` for every pair of equal-size supports, `s ⊆ {0..n}`
+/// and `t ⊆ {0..m}`: by size `k = 1..=min(n, m)`, then `s`, then `t`,
+/// each side in lexicographic order of its bitmask. Both enumerators
+/// walk pairs through this one function, so their order is identical
+/// by construction. Each side's list is built once per `k`.
+pub(crate) fn for_each_support_pair(n: usize, m: usize, mut f: impl FnMut(&[usize], &[usize])) {
+    let (mut rows, mut cols) = (Vec::new(), Vec::new());
+    for k in 1..=n.min(m) {
+        subsets_of_size(n, k, &mut rows);
+        subsets_of_size(m, k, &mut cols);
+        for s in rows.chunks_exact(k) {
+            for t in cols.chunks_exact(k) {
+                f(s, t);
+            }
         }
     }
-    out
 }
 
-/// Attempts to find an equilibrium with row support `s` and column support
-/// `t` (equal sizes). Returns `None` if the indifference system is singular
-/// or the solution is infeasible.
-fn try_support_pair(
-    game: &BimatrixGame,
-    s: &[usize],
-    t: &[usize],
-    tol: f64,
-) -> Option<(MixedStrategy, MixedStrategy)> {
-    let q = solve_indifference(game.row_payoffs(), s, t, game.col_actions(), tol)?;
-    // Column player's payoff matrix transposed: rows become column actions.
-    let nt = game.col_payoffs().transposed();
-    let p = solve_indifference(&nt, t, s, game.row_actions(), tol)?;
+/// Fills `out` with every `k`-element subset of `{0..n}`, flattened
+/// (`k` indices per subset), in lexicographic order of their bitmasks.
+fn subsets_of_size(n: usize, k: usize, out: &mut Vec<usize>) {
+    out.clear();
+    for mask in 0u32..(1u32 << n) {
+        if mask.count_ones() as usize == k {
+            out.extend((0..n).filter(|i| mask & (1 << i) != 0));
+        }
+    }
+}
 
-    let p = MixedStrategy::new(p).ok()?;
-    let q = MixedStrategy::new(q).ok()?;
-    Some((p, q))
+/// Reused buffers of one indifference solve: the augmented `k × (k+1)`
+/// system, row-major, and its solution.
+#[derive(Default)]
+struct Scratch {
+    system: Vec<f64>,
+    solution: Vec<f64>,
 }
 
 /// Solves for the *opponent* mixture `q` (length `opp_len`, support `t`)
@@ -122,30 +134,35 @@ fn try_support_pair(
 ///
 /// Conditions: `(A q)_i` equal for all `i ∈ s`, `Σ_{j∈t} q_j = 1`,
 /// `q_j = 0` outside `t`, `q ≥ −tol`, and no action outside `s` strictly
-/// better than the support value.
+/// better than the support value. Returns `None` if the indifference
+/// system is singular or the solution violates a condition; only a side
+/// that passes the feasibility test allocates its `q`.
 fn solve_indifference(
     a: &Matrix,
     s: &[usize],
     t: &[usize],
     opp_len: usize,
     tol: f64,
+    scratch: &mut Scratch,
 ) -> Option<Vec<f64>> {
     let k = s.len();
     debug_assert_eq!(k, t.len());
 
     // Unknowns: q_{t[0]}, ..., q_{t[k-1]}.
     // Equations: (A q)_{s[0]} = (A q)_{s[r]} for r = 1..k, plus Σ q = 1.
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(k);
-    for r in 1..k {
-        let row: Vec<f64> = t.iter().map(|&j| a[(s[0], j)] - a[(s[r], j)]).collect();
-        rows.push(row);
+    let system = &mut scratch.system;
+    system.clear();
+    let first = a.row(s[0]);
+    for &r in &s[1..] {
+        let row = a.row(r);
+        system.extend(t.iter().map(|&j| first[j] - row[j]));
+        system.push(0.0);
     }
-    rows.push(vec![1.0; k]);
-    let mut rhs = vec![0.0; k - 1];
-    rhs.push(1.0);
-
-    let sys = Matrix::from_rows(&rows).ok()?;
-    let sol = solve(&sys, &rhs).ok()?;
+    system.extend(std::iter::repeat_n(1.0, k + 1));
+    let sol = &mut scratch.solution;
+    if !gaussian_solve(system, k, sol) {
+        return None;
+    }
 
     // Feasibility: probabilities in [0, 1] up to tolerance.
     if sol.iter().any(|&x| x < -tol || x > 1.0 + tol) {
@@ -167,14 +184,69 @@ fn solve_indifference(
     }
 
     // Best-response condition: actions off the support must not beat it.
-    let payoff = a.mat_vec(&q).ok()?;
-    let v = payoff[s[0]];
-    for (i, &u) in payoff.iter().enumerate() {
-        if !s.contains(&i) && u > v + tol.max(1e-9) {
-            return None;
-        }
+    let payoff = |i: usize| -> f64 { a.row(i).iter().zip(&q).map(|(a, b)| a * b).sum() };
+    let v = payoff(s[0]);
+    let slack = tol.max(1e-9);
+    if (0..a.rows()).any(|i| !s.contains(&i) && payoff(i) > v + slack) {
+        return None;
     }
     Some(q)
+}
+
+/// Solves the augmented `n × (n+1)` row-major system `w` in place into
+/// `x`, returning `false` if it is singular. Operation for operation the
+/// elimination of [`crate::linalg::solve`] (same pivot rule, singularity
+/// test and back substitution), so results are bitwise equal to it.
+fn gaussian_solve(w: &mut [f64], n: usize, x: &mut Vec<f64>) -> bool {
+    let stride = n + 1;
+    for col in 0..n {
+        // Partial pivot: the row with the largest magnitude in `col`
+        // (the last such row on ties, as `max_by` picks).
+        let pivot_row = (col..n)
+            .max_by(|&i, &j| {
+                w[i * stride + col]
+                    .abs()
+                    .partial_cmp(&w[j * stride + col].abs())
+                    .expect("pivot magnitudes are finite")
+            })
+            .expect("non-empty pivot range");
+        let scale = w[pivot_row * stride..pivot_row * stride + n]
+            .iter()
+            .fold(0.0f64, |acc, &x| acc.max(x.abs()))
+            .max(1.0);
+        if w[pivot_row * stride + col].abs() < 1e-12 * scale {
+            return false;
+        }
+        if pivot_row != col {
+            let (head, tail) = w.split_at_mut(pivot_row * stride);
+            head[col * stride..(col + 1) * stride].swap_with_slice(&mut tail[..stride]);
+        }
+
+        for row in col + 1..n {
+            let factor = w[row * stride + col] / w[col * stride + col];
+            if factor == 0.0 {
+                continue;
+            }
+            let (head, tail) = w.split_at_mut(row * stride);
+            let pivot = &head[col * stride + col..(col + 1) * stride];
+            for (t, p) in tail[col..stride].iter_mut().zip(pivot) {
+                *t -= factor * p;
+            }
+        }
+    }
+
+    // Back substitution.
+    x.clear();
+    x.resize(n, 0.0);
+    for row in (0..n).rev() {
+        let r = &w[row * stride..(row + 1) * stride];
+        let mut acc = r[n];
+        for k in row + 1..n {
+            acc -= r[k] * x[k];
+        }
+        x[row] = acc / r[row];
+    }
+    true
 }
 
 #[cfg(test)]
@@ -185,9 +257,69 @@ mod tests {
 
     #[test]
     fn subsets_counted_correctly() {
-        assert_eq!(subsets_of_size(4, 2).len(), 6);
-        assert_eq!(subsets_of_size(5, 0).len(), 1);
-        assert_eq!(subsets_of_size(3, 3), vec![vec![0, 1, 2]]);
+        let mut out = Vec::new();
+        subsets_of_size(4, 2, &mut out);
+        assert_eq!(out.len() / 2, 6);
+        subsets_of_size(5, 0, &mut out);
+        assert_eq!(out.len(), 0);
+        subsets_of_size(3, 3, &mut out);
+        assert_eq!(out, vec![0, 1, 2]);
+        subsets_of_size(3, 2, &mut out);
+        assert_eq!(out, vec![0, 1, 0, 2, 1, 2]);
+    }
+
+    #[test]
+    fn support_pair_walk_visits_every_equal_size_pair_in_order() {
+        let mut pairs = Vec::new();
+        for_each_support_pair(3, 2, |s, t| pairs.push((s.to_vec(), t.to_vec())));
+        let v = |x: &[usize]| x.to_vec();
+        let expected: Vec<(Vec<usize>, Vec<usize>)> = vec![
+            (v(&[0]), v(&[0])),
+            (v(&[0]), v(&[1])),
+            (v(&[1]), v(&[0])),
+            (v(&[1]), v(&[1])),
+            (v(&[2]), v(&[0])),
+            (v(&[2]), v(&[1])),
+            (v(&[0, 1]), v(&[0, 1])),
+            (v(&[0, 2]), v(&[0, 1])),
+            (v(&[1, 2]), v(&[0, 1])),
+        ];
+        assert_eq!(pairs, expected);
+        // Σ_k C(8,k)² = C(16,8) − 1 pairs for an 8×8 game.
+        let mut count = 0;
+        for_each_support_pair(8, 8, |_, _| count += 1);
+        assert_eq!(count, 12_869);
+    }
+
+    #[test]
+    fn kernel_matches_linalg_solve_bitwise() {
+        // Ties in pivot magnitude, zero factors, swaps and rounding.
+        let systems: [&[f64]; 4] = [
+            &[1.0, 2.0, -1.0, 2.0, 1.0, 3.0, -2.0, 3.0, 1.0],
+            &[0.0, 1.0, 1.0, 0.0],
+            &[0.1, 0.7, 0.3, -0.3, 0.2, 0.9, 0.3, 0.3, -0.7],
+            &[1.0, 1.0, 1.0, 1.0],
+        ];
+        for (idx, a) in systems.iter().enumerate() {
+            let n = (a.len() as f64).sqrt() as usize;
+            let b: Vec<f64> = (0..n).map(|i| 0.25 + i as f64 / 3.0).collect();
+            let mut w = Vec::new();
+            for i in 0..n {
+                w.extend_from_slice(&a[i * n..(i + 1) * n]);
+                w.push(b[i]);
+            }
+            let mut x = Vec::new();
+            let ok = gaussian_solve(&mut w, n, &mut x);
+            let reference = crate::linalg::solve(&Matrix::new(n, n, a.to_vec()).unwrap(), &b);
+            match reference {
+                Ok(r) => {
+                    assert!(ok, "system {idx}");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&x), bits(&r), "system {idx}");
+                }
+                Err(_) => assert!(!ok, "system {idx}"),
+            }
+        }
     }
 
     #[test]

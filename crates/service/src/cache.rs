@@ -34,7 +34,7 @@ use cnash_qubo::dwave::DWaveModel;
 use cnash_qubo::squbo::{SQubo, SQuboWeights};
 use cnash_runtime::spec::{GameSpec, SolverSpec};
 use cnash_runtime::{Json, SpecError};
-use cnash_telemetry::{Counter, Registry};
+use cnash_telemetry::{Counter, Histogram, Registry, TelemetrySpan};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -125,6 +125,8 @@ pub struct InstanceCache {
     instance_misses: Arc<Counter>,
     truth_hits: Arc<Counter>,
     truth_misses: Arc<Counter>,
+    /// Wall time of each ground-truth enumeration (truth misses only).
+    stage_truth: Arc<Histogram>,
 }
 
 impl Default for InstanceCache {
@@ -141,14 +143,16 @@ impl InstanceCache {
 
     /// Creates an empty cache whose hit/miss counters live in
     /// `registry` (as `cache_instance_hits`, `cache_instance_misses`,
-    /// `cache_truth_hits`, `cache_truth_misses`), so a metrics snapshot
-    /// of the registry sees them without asking the cache.
+    /// `cache_truth_hits`, `cache_truth_misses`) next to the
+    /// `stage_truth_ns` enumeration-time histogram, so a metrics
+    /// snapshot of the registry sees them without asking the cache.
     pub(crate) fn with_registry(registry: &Registry) -> Self {
         Self {
             instance_hits: registry.counter("cache_instance_hits"),
             instance_misses: registry.counter("cache_instance_misses"),
             truth_hits: registry.counter("cache_truth_hits"),
             truth_misses: registry.counter("cache_truth_misses"),
+            stage_truth: registry.histogram("stage_truth_ns"),
             ..Self::default()
         }
     }
@@ -166,6 +170,7 @@ impl InstanceCache {
             instance_misses: Arc::new(Counter::new()),
             truth_hits: Arc::new(Counter::new()),
             truth_misses: Arc::new(Counter::new()),
+            stage_truth: Arc::new(Histogram::new()),
         }
     }
 
@@ -341,7 +346,10 @@ impl InstanceCache {
         } else {
             self.truth_misses.inc();
         }
-        Arc::clone(slot.get_or_init(|| Arc::new(enumerate_equilibria(game, TRUTH_TOL))))
+        Arc::clone(slot.get_or_init(|| {
+            let _span = TelemetrySpan::start(&self.stage_truth);
+            Arc::new(enumerate_equilibria(game, TRUTH_TOL))
+        }))
     }
 
     fn instance_slot(&self, key: u64) -> (InstanceSlot, bool) {
@@ -562,9 +570,15 @@ mod tests {
         let game = GameSpec::Builtin("battle_of_the_sexes".into());
         assert!(!cache.prepare(&game, &cnash_spec(100)).unwrap().cache_hit);
         assert!(cache.prepare(&game, &cnash_spec(100)).unwrap().cache_hit);
+        let truth = GameSpec::Builtin("bird_game".into()).build().unwrap();
+        cache.ground_truth(&truth);
+        cache.ground_truth(&truth);
         let snap = registry.snapshot();
         assert_eq!(snap.counters["cache_instance_hits"], 1);
         assert_eq!(snap.counters["cache_instance_misses"], 1);
+        // One enumeration: only the truth miss is timed.
+        assert_eq!(snap.counters["cache_truth_misses"], 1);
+        assert_eq!(snap.histograms["stage_truth_ns"].count, 1);
         // The cache's own stats read the same counters.
         let stats = cache.stats();
         assert_eq!((stats.instance_hits, stats.instance_misses), (1, 1));

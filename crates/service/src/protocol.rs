@@ -117,7 +117,9 @@
 //!   off; only timing spans and event pushes stop.
 //! * `counters` / `gauges` / `histograms` — the daemon registry
 //!   (per-op latencies `op_<name>_ns`, scheduler `sched_*`, cache
-//!   `cache_*`) merged with the process-global hot-path aggregates
+//!   `cache_*`, the ground-truth stage `stage_truth_ns` — one
+//!   observation per support enumeration, i.e. per truth-cache miss)
+//!   merged with the process-global hot-path aggregates
 //!   (`sa_runs`, `sa_sweeps`, `sa_accepts`, `pool_tasks`,
 //!   `pool_task_ns`, `pool_fold_wait_ns`). Histogram quantiles are the
 //!   log-bucketed upper bounds (≤ ~3.2% relative error), clamped to

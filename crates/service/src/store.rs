@@ -43,8 +43,21 @@
 //! I/O failure fails the open. The recovery properties are
 //! property-tested in `tests/store_proptests.rs`.
 //!
-//! Payloads live in the index (`Arc<str>`), so after the open scan the
-//! whole store serves from memory — this *is* the daemon's warm boot.
+//! ## Serving: an offset index, re-checked on every hit
+//!
+//! The index built by the open scan holds no payloads: per key it
+//! keeps where the payload sits in the log (offset, length) and the
+//! record's checksum, 32 bytes per record however large the payload,
+//! so resident memory does not grow with served traffic. A
+//! [`lookup`](SolutionStore::lookup) reads the payload back with one
+//! positioned read on a read-only handle and recomputes
+//! [`record_checksum`]; a record damaged on disk after the open (or a
+//! failed read) is a miss, dropped from the index, so the request
+//! re-solves and its append writes a fresh record that wins on the next
+//! open. [`append`](SolutionStore::append) writes each record with one
+//! `O_APPEND` write and takes the payload offset from the file position
+//! after it, so a record another process appended in between cannot
+//! shift it.
 //!
 //! [`fsck`](SolutionStore::fsck) is the same walk without the
 //! recovery: a read-only checksum + framing + index-consistency report
@@ -58,7 +71,8 @@ use cnash_runtime::{EarlyStop, Json};
 use cnash_telemetry::{Counter, Gauge, Registry};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Seek, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -186,8 +200,8 @@ pub struct StoreStats {
     pub misses: u64,
     /// Records appended this process lifetime.
     pub appends: u64,
-    /// Records currently resident (disk and memory — they are the
-    /// same set).
+    /// Records currently indexed (every one is on disk; the index
+    /// holds only their locations).
     pub records: u64,
 }
 
@@ -204,19 +218,31 @@ impl StoreStats {
     }
 }
 
+/// Where one record's payload sits in the log, and the checksum its
+/// bytes must reproduce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    offset: u64,
+    len: u32,
+    checksum: u64,
+}
+
 struct Inner {
     file: File,
-    index: HashMap<u64, Arc<str>>,
+    index: HashMap<u64, Slot>,
 }
 
 /// The disk-backed solution store: an append-only record log plus the
-/// in-memory index rebuilt by one scan on open. Shared (`Arc`) by every
-/// scheduler shard; all mutation is behind one mutex (appends are rare
-/// — every append is a solve that just took orders of magnitude
-/// longer).
+/// in-memory offset index rebuilt by one scan on open. Shared (`Arc`)
+/// by every scheduler shard; all mutation is behind one mutex (appends
+/// are rare — every append is a solve that just took orders of
+/// magnitude longer).
 pub struct SolutionStore {
     path: PathBuf,
     inner: Mutex<Inner>,
+    /// Read-only handle the hits read payloads through (positioned
+    /// reads need no lock).
+    reader: File,
     open_report: OpenReport,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
@@ -235,10 +261,12 @@ impl std::fmt::Debug for SolutionStore {
 
 /// One raw scan over a store log's bytes: the shared walk under both
 /// `open` (which recovers) and `fsck` (which only reports).
+#[derive(Default)]
 struct Scan {
-    /// Surviving records in log order (last occurrence of a key wins,
-    /// earlier duplicates are dropped during replay into the map).
-    records: Vec<(u64, Arc<str>)>,
+    /// Surviving records in log order, located in the scanned bytes
+    /// (last occurrence of a key wins, earlier duplicates are dropped
+    /// during replay into the map).
+    records: Vec<(u64, Slot)>,
     corrupt_skipped: u64,
     truncated_tail_bytes: u64,
     duplicate_keys: u64,
@@ -251,12 +279,7 @@ fn scan_log(bytes: &[u8]) -> io::Result<Scan> {
             "not a cnash solution store (bad magic)",
         ));
     }
-    let mut scan = Scan {
-        records: Vec::new(),
-        corrupt_skipped: 0,
-        truncated_tail_bytes: 0,
-        duplicate_keys: 0,
-    };
+    let mut scan = Scan::default();
     let mut seen: HashMap<u64, usize> = HashMap::new();
     let mut pos = STORE_MAGIC.len();
     while pos < bytes.len() {
@@ -277,33 +300,38 @@ fn scan_log(bytes: &[u8]) -> io::Result<Scan> {
             break;
         }
         pos = body + len;
-        let payload = &bytes[body..pos];
-        let valid = std::str::from_utf8(payload)
-            .ok()
-            .filter(|p| record_checksum(key, p) == sum);
-        match valid {
-            Some(payload) => {
-                if let Some(&prior) = seen.get(&key) {
-                    // Last record wins; drop the stale occurrence but
-                    // keep log order for the survivors.
-                    scan.duplicate_keys += 1;
-                    scan.records[prior] = (key, Arc::from(payload));
-                } else {
-                    seen.insert(key, scan.records.len());
-                    scan.records.push((key, Arc::from(payload)));
-                }
-            }
-            None => scan.corrupt_skipped += 1,
+        let valid =
+            std::str::from_utf8(&bytes[body..pos]).is_ok_and(|p| record_checksum(key, p) == sum);
+        if !valid {
+            scan.corrupt_skipped += 1;
+            continue;
+        }
+        let slot = Slot {
+            offset: body as u64,
+            len: len as u32,
+            checksum: sum,
+        };
+        if let Some(&prior) = seen.get(&key) {
+            // Last record wins; drop the stale occurrence but keep log
+            // order for the survivors.
+            scan.duplicate_keys += 1;
+            scan.records[prior] = (key, slot);
+        } else {
+            seen.insert(key, scan.records.len());
+            scan.records.push((key, slot));
         }
     }
     Ok(scan)
 }
 
-fn write_record(out: &mut impl Write, key: u64, payload: &str) -> io::Result<()> {
-    out.write_all(&key.to_le_bytes())?;
-    out.write_all(&(payload.len() as u32).to_le_bytes())?;
-    out.write_all(&record_checksum(key, payload).to_le_bytes())?;
-    out.write_all(payload.as_bytes())
+/// One record's bytes: header (key, length, checksum), then payload.
+fn record_frame(key: u64, checksum: u64, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
+    frame.extend_from_slice(&key.to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&checksum.to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
 }
 
 impl SolutionStore {
@@ -338,39 +366,23 @@ impl SolutionStore {
     ) -> io::Result<SolutionStore> {
         let path = path.as_ref().to_path_buf();
         let started = Instant::now();
-        let (scan, compact) = match std::fs::read(&path) {
+        let (mut scan, bytes, compact) = match std::fs::read(&path) {
             Ok(bytes) if bytes.is_empty() => {
                 // An empty file (fresh `touch`, or a crash before the
                 // magic landed): claim it as a new store.
                 std::fs::write(&path, STORE_MAGIC)?;
-                (
-                    Scan {
-                        records: Vec::new(),
-                        corrupt_skipped: 0,
-                        truncated_tail_bytes: 0,
-                        duplicate_keys: 0,
-                    },
-                    false,
-                )
+                (Scan::default(), bytes, false)
             }
             Ok(bytes) => {
                 let scan = scan_log(&bytes)?;
                 let dirty = scan.corrupt_skipped > 0
                     || scan.truncated_tail_bytes > 0
                     || scan.duplicate_keys > 0;
-                (scan, dirty)
+                (scan, bytes, dirty)
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 std::fs::write(&path, STORE_MAGIC)?;
-                (
-                    Scan {
-                        records: Vec::new(),
-                        corrupt_skipped: 0,
-                        truncated_tail_bytes: 0,
-                        duplicate_keys: 0,
-                    },
-                    false,
-                )
+                (Scan::default(), Vec::new(), false)
             }
             Err(e) => return Err(e),
         };
@@ -380,16 +392,25 @@ impl SolutionStore {
             // leaves either the old log (skipped again next open) or
             // the new one — never a halfway state.
             let tmp = path.with_extension("compact-tmp");
+            // Survivors keep their order, so their new offsets are a
+            // running sum.
             let mut out = io::BufWriter::new(File::create(&tmp)?);
             out.write_all(STORE_MAGIC)?;
-            for (key, payload) in &scan.records {
-                write_record(&mut out, *key, payload)?;
+            let mut pos = STORE_MAGIC.len() as u64;
+            for (key, slot) in &mut scan.records {
+                let start = slot.offset as usize;
+                let payload = &bytes[start..start + slot.len as usize];
+                out.write_all(&record_frame(*key, slot.checksum, payload))?;
+                slot.offset = pos + RECORD_HEADER_BYTES as u64;
+                pos = slot.offset + u64::from(slot.len);
             }
             out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
             std::fs::rename(&tmp, &path)?;
         }
+        drop(bytes);
         let file = OpenOptions::new().append(true).open(&path)?;
-        let index: HashMap<u64, Arc<str>> = scan.records.iter().cloned().collect();
+        let reader = File::open(&path)?;
+        let index: HashMap<u64, Slot> = scan.records.into_iter().collect();
         let open_report = OpenReport {
             records: index.len() as u64,
             corrupt_skipped: scan.corrupt_skipped,
@@ -418,6 +439,7 @@ impl SolutionStore {
         Ok(SolutionStore {
             path,
             inner: Mutex::new(Inner { file, index }),
+            reader,
             open_report,
             hits,
             misses,
@@ -457,22 +479,39 @@ impl SolutionStore {
             .contains_key(&key)
     }
 
-    /// Looks `key` up, counting a hit or a miss. O(lookup): the
-    /// payload is served from the in-memory index built at open.
+    /// Looks `key` up, counting a hit or a miss. A hit reads the
+    /// payload from the log with one positioned read and re-verifies
+    /// its checksum; bytes that no longer match (damaged on disk after
+    /// the open) are never served — the lookup counts a miss and drops
+    /// the key from the index, so the re-solve's append replaces it.
     pub fn lookup(&self, key: u64) -> Option<Arc<str>> {
-        let found = self
-            .inner
-            .lock()
-            .expect("store poisoned")
-            .index
-            .get(&key)
-            .cloned();
+        let found = self.read_verified(key);
         if found.is_some() {
             self.hits.inc();
         } else {
             self.misses.inc();
         }
         found
+    }
+
+    fn read_verified(&self, key: u64) -> Option<Arc<str>> {
+        let slot = *self.inner.lock().expect("store poisoned").index.get(&key)?;
+        let mut buf = vec![0u8; slot.len as usize];
+        let payload = self
+            .reader
+            .read_exact_at(&mut buf, slot.offset)
+            .ok()
+            .and_then(|()| String::from_utf8(buf).ok())
+            .filter(|p| record_checksum(key, p) == slot.checksum);
+        if payload.is_none() {
+            let mut inner = self.inner.lock().expect("store poisoned");
+            // Unless an append already replaced the damaged record.
+            if inner.index.get(&key) == Some(&slot) {
+                inner.index.remove(&key);
+                self.records_gauge.set(inner.index.len() as i64);
+            }
+        }
+        payload.map(Arc::from)
     }
 
     /// Appends one record, unless `key` is already resident (appends
@@ -484,6 +523,10 @@ impl SolutionStore {
     /// power loss may cost the tail record, which the next open's
     /// truncated-tail recovery absorbs.
     ///
+    /// The record goes out in one `O_APPEND` write; its payload offset
+    /// is read back from the file position after that write, so records
+    /// another process appends meanwhile cannot shift it.
+    ///
     /// # Errors
     ///
     /// Propagates write errors (the record is then *not* indexed, so
@@ -493,9 +536,17 @@ impl SolutionStore {
         if inner.index.contains_key(&key) {
             return Ok(false);
         }
-        write_record(&mut inner.file, key, payload)?;
-        inner.file.flush()?;
-        inner.index.insert(key, Arc::from(payload));
+        let checksum = record_checksum(key, payload);
+        inner
+            .file
+            .write_all(&record_frame(key, checksum, payload.as_bytes()))?;
+        let end = inner.file.stream_position()?;
+        let slot = Slot {
+            offset: end - payload.len() as u64,
+            len: payload.len() as u32,
+            checksum,
+        };
+        inner.index.insert(key, slot);
         self.appends.inc();
         self.records_gauge.set(inner.index.len() as i64);
         Ok(true)
@@ -634,6 +685,115 @@ mod tests {
         store.append(2, r#"{"b":2}"#).unwrap();
         drop(store);
         assert!(SolutionStore::fsck(&path).unwrap().ok());
+    }
+
+    #[test]
+    fn payload_damaged_after_open_is_a_miss_never_served() {
+        let path = temp_path("damage");
+        let _cleanup = Cleanup(path.clone());
+        let store = SolutionStore::open(&path).unwrap();
+        store.append(1, r#"{"a":1}"#).unwrap();
+        store.append(2, r#"{"b":2}"#).unwrap();
+        // Flip one payload byte of record 1 under the open store.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[STORE_MAGIC.len() + RECORD_HEADER_BYTES + 2] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+
+        assert!(store.lookup(1).is_none());
+        assert_eq!(&*store.lookup(2).unwrap(), r#"{"b":2}"#);
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses, stats.records), (1, 1, 1));
+        // The key left the index, so the re-solve's append lands and
+        // serves from then on.
+        assert!(store.append(1, r#"{"a":1}"#).unwrap());
+        assert_eq!(&*store.lookup(1).unwrap(), r#"{"a":1}"#);
+        drop(store);
+        // The reopen skips the damaged record; the fresh one wins.
+        let store = SolutionStore::open(&path).unwrap();
+        assert_eq!(store.open_report().corrupt_skipped, 1);
+        assert_eq!(&*store.lookup(1).unwrap(), r#"{"a":1}"#);
+        assert_eq!(&*store.lookup(2).unwrap(), r#"{"b":2}"#);
+    }
+
+    #[test]
+    fn foreign_append_between_appends_does_not_shift_offsets() {
+        let path = temp_path("foreign_append");
+        let _cleanup = Cleanup(path.clone());
+        let store = SolutionStore::open(&path).unwrap();
+        store.append(1, r#"{"a":1}"#).unwrap();
+        // A second handle (another process's store) appends in between.
+        let other = SolutionStore::open(&path).unwrap();
+        other.append(2, r#"{"foreign":"record"}"#).unwrap();
+        store.append(3, r#"{"c":3}"#).unwrap();
+        assert_eq!(&*store.lookup(1).unwrap(), r#"{"a":1}"#);
+        assert_eq!(&*store.lookup(3).unwrap(), r#"{"c":3}"#);
+        assert_eq!(store.stats().misses, 0);
+        drop((store, other));
+        let store = SolutionStore::open(&path).unwrap();
+        assert!(!store.open_report().compacted);
+        assert_eq!(store.len(), 3);
+        assert_eq!(&*store.lookup(2).unwrap(), r#"{"foreign":"record"}"#);
+        assert_eq!(&*store.lookup(3).unwrap(), r#"{"c":3}"#);
+    }
+
+    #[test]
+    fn compaction_then_reopen_serves_every_original_payload() {
+        let path = temp_path("compact_reopen");
+        let _cleanup = Cleanup(path.clone());
+        let payloads: Vec<(u64, String)> = (0..12u64)
+            .map(|k| {
+                (
+                    k,
+                    format!(r#"{{"k":{k},"pad":"{}"}}"#, "x".repeat(k as usize * 7)),
+                )
+            })
+            .collect();
+        let store = SolutionStore::open(&path).unwrap();
+        for (k, p) in &payloads {
+            store.append(*k, p).unwrap();
+        }
+        // A record from a second handle sits between the survivors.
+        SolutionStore::open(&path)
+            .unwrap()
+            .append(99, r#"{"dup":0}"#)
+            .unwrap();
+        drop(store);
+        // Corrupt record 5's checksum and append a duplicate of key 4
+        // so the open must compact: every survivor moves on disk.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let record5: usize = STORE_MAGIC.len()
+            + payloads[..5]
+                .iter()
+                .map(|(_, p)| RECORD_HEADER_BYTES + p.len())
+                .sum::<usize>();
+        bytes[record5 + 12] ^= 0xff;
+        bytes.extend(record_frame(
+            4,
+            record_checksum(4, &payloads[4].1),
+            payloads[4].1.as_bytes(),
+        ));
+        std::fs::write(&path, &bytes).unwrap();
+
+        let store = SolutionStore::open(&path).unwrap();
+        let report = store.open_report();
+        assert!(report.compacted);
+        assert_eq!(report.corrupt_skipped, 1);
+        let check = |store: &SolutionStore| {
+            for (k, p) in &payloads {
+                match store.lookup(*k) {
+                    Some(got) => assert_eq!(&*got, p, "key {k}"),
+                    None => assert_eq!(*k, 5, "key {k} lost"),
+                }
+            }
+            assert_eq!(&*store.lookup(99).unwrap(), r#"{"dup":0}"#);
+        };
+        check(&store);
+        drop(store);
+        assert!(SolutionStore::fsck(&path).unwrap().ok());
+        let store = SolutionStore::open(&path).unwrap();
+        assert!(!store.open_report().compacted);
+        check(&store);
+        assert_eq!(store.stats().misses, 1);
     }
 
     #[test]
