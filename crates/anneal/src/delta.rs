@@ -11,20 +11,21 @@
 //!
 //! Production implementations live next to the hardware models:
 //!
-//! * `cnash-crossbar`'s `DeltaBiCrossbar` caches the per-data-line
-//!   accumulated currents of both arrays in [`PairwiseSum`] trees,
+//! * `cnash-crossbar`'s `DeltaBiCrossbar` keeps the per-data-line
+//!   accumulated currents of both arrays as fixed-point integer sums,
 //! * `cnash-qubo`'s local-field annealer caches per-variable fields.
 //!
 //! # Bit-identical incrementality
 //!
 //! Floating-point addition is not associative, so "subtract the old term,
-//! add the new one" drifts away from a from-scratch evaluation. Evaluators
-//! that need *bit-identical* equivalence with full re-evaluation (the
-//! contract the crossbar implementation provides and the property tests
-//! pin) sum through [`PairwiseSum`]: a fixed-shape binary reduction tree
-//! whose root is a pure function of the leaves, so updating a leaf and
-//! re-reducing its path reproduces exactly the value a full rebuild
-//! computes.
+//! add the new one" on an `f64` sum drifts away from a from-scratch
+//! evaluation. Evaluators that need *bit-identical* equivalence with full
+//! re-evaluation (the contract the crossbar implementation provides and
+//! the property tests pin) keep their running sums where addition is
+//! exact and order-free — the crossbar in `i64` fixed-point currents, the
+//! QUBO annealer in integer or dyadic coefficients — so an `O(1)` update
+//! yields the very sum a full evaluation adds up, and a revert restores
+//! the saved totals.
 
 use crate::engine::{HitRecorder, SaOptions, SaRun};
 use rand::rngs::StdRng;
@@ -163,133 +164,10 @@ pub fn simulated_annealing_delta<E: DeltaEnergy>(
     }
 }
 
-/// A fixed-shape pairwise summation tree over `f64` terms with `O(log n)`
-/// single-leaf updates.
-///
-/// The tree is an implicit perfect binary tree padded with `0.0` leaves;
-/// every internal node is the sum of its two children. Because the
-/// reduction shape depends only on the leaf count, the root is a pure
-/// function of the leaf values: rebuilding from scratch and any sequence
-/// of leaf updates arriving at the same leaves produce *bitwise* the same
-/// root — the property incremental evaluators need to stay exactly in
-/// sync with full evaluation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PairwiseSum {
-    /// 1-indexed heap layout; `nodes[1]` is the root, leaves start at
-    /// `cap`.
-    nodes: Vec<f64>,
-    cap: usize,
-    len: usize,
-}
-
-impl PairwiseSum {
-    /// Builds a tree over `terms` (any length, including 0).
-    pub fn new(terms: &[f64]) -> Self {
-        let len = terms.len();
-        let cap = len.next_power_of_two().max(1);
-        let mut nodes = vec![0.0; 2 * cap];
-        nodes[cap..cap + len].copy_from_slice(terms);
-        for i in (1..cap).rev() {
-            nodes[i] = nodes[2 * i] + nodes[2 * i + 1];
-        }
-        Self { nodes, cap, len }
-    }
-
-    /// Number of leaves.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the tree holds no terms.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The current value of leaf `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn leaf(&self, i: usize) -> f64 {
-        assert!(i < self.len, "leaf {i} out of range");
-        self.nodes[self.cap + i]
-    }
-
-    /// Sets leaf `i` to `value` and re-reduces its root path, returning
-    /// the previous leaf value (for undo logs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn update(&mut self, i: usize, value: f64) -> f64 {
-        assert!(i < self.len, "leaf {i} out of range");
-        let mut node = self.cap + i;
-        let old = self.nodes[node];
-        self.nodes[node] = value;
-        // Walk to the root keeping the fresh child value in a register;
-        // the sibling is `node ^ 1`. IEEE-754 addition is commutative
-        // (only association changes results), so `v + sibling` matches
-        // the build pass's `left + right` bitwise for either child.
-        let mut v = value;
-        while node > 1 {
-            v += self.nodes[node ^ 1];
-            node /= 2;
-            self.nodes[node] = v;
-        }
-        old
-    }
-
-    /// The pairwise sum of all leaves.
-    pub fn total(&self) -> f64 {
-        self.nodes[1]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schedule::Schedule;
-
-    #[test]
-    fn pairwise_sum_matches_rebuild_after_updates() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for n in [0usize, 1, 2, 3, 7, 8, 9, 31, 100] {
-            let mut terms: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
-            let mut tree = PairwiseSum::new(&terms);
-            assert_eq!(tree.total(), PairwiseSum::new(&terms).total());
-            for _ in 0..50 {
-                if n == 0 {
-                    break;
-                }
-                let i = rng.random_range(0..n);
-                let v = rng.random_range(-1.0..1.0);
-                terms[i] = v;
-                tree.update(i, v);
-                // Bitwise equality with a from-scratch rebuild.
-                assert_eq!(tree.total(), PairwiseSum::new(&terms).total());
-            }
-        }
-    }
-
-    #[test]
-    fn pairwise_sum_update_returns_old_value_and_undoes() {
-        let terms = [1.5, 2.5, 3.5];
-        let mut tree = PairwiseSum::new(&terms);
-        let before = tree.total();
-        let old = tree.update(1, 9.0);
-        assert_eq!(old, 2.5);
-        assert_ne!(tree.total(), before);
-        tree.update(1, old);
-        assert_eq!(tree.total(), before);
-        assert_eq!(tree.leaf(1), 2.5);
-    }
-
-    #[test]
-    fn empty_tree_totals_zero() {
-        let tree = PairwiseSum::new(&[]);
-        assert!(tree.is_empty());
-        assert_eq!(tree.total(), 0.0);
-    }
 
     /// A revertible evaluator over integer states with energy `x²`.
     struct Quadratic {

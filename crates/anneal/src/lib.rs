@@ -15,11 +15,12 @@
 //!   and is the *reference* driver (equivalence checks and the
 //!   software-exact ablation),
 //! * [`delta`] — the incremental-evaluation subsystem: the
-//!   [`delta::DeltaEnergy`] trait (`propose → commit/revert`), the
-//!   matching driver [`delta::simulated_annealing_delta`], and the
-//!   [`delta::PairwiseSum`] reduction tree that keeps incremental sums
-//!   bit-identical to full re-evaluation. This is the *production* driver:
-//!   every hardware C-Nash run takes it, whatever the game size.
+//!   [`delta::DeltaEnergy`] trait (`propose → commit/revert`) and the
+//!   matching driver [`delta::simulated_annealing_delta`]. This is the
+//!   *production* driver: every hardware C-Nash run takes it, whatever
+//!   the game size. Evaluators stay bit-identical to full re-evaluation
+//!   by keeping their running sums exact (the crossbar's fixed-point
+//!   currents; see the module docs).
 //!
 //! Both drivers consume the RNG identically, so the same options and
 //! initial state give the same walk whenever the energies agree.
@@ -57,7 +58,7 @@ pub mod engine;
 pub mod moves;
 pub mod schedule;
 
-pub use delta::{simulated_annealing_delta, DeltaEnergy, PairwiseSum};
+pub use delta::{simulated_annealing_delta, DeltaEnergy};
 pub use engine::{simulated_annealing, SaOptions, SaRun};
 pub use moves::{GridStrategyPair, StrategyMove};
 pub use schedule::Schedule;

@@ -10,27 +10,33 @@
 //! * **bi-crossbar**: the reference `CNashSolver::evaluate` per proposal
 //!   (full two-phase read, `O(n·m)`) vs the production
 //!   `CNashSolver::delta_evaluator` + `simulated_annealing_delta`
-//!   (`O((n+m)·log nm)`), the only path `CNashSolver::run` takes,
+//!   (`O(n+m)` fixed-point sum updates), the only path
+//!   `CNashSolver::run` takes. Both read the same integer sums, so the
+//!   two walks must be identical `SaRun`s (a check),
 //! * **QUBO**: the reference `anneal` (`O(n)` row scan per proposal) vs
 //!   the production `anneal_incremental` (cached local fields, `O(1)`
 //!   per proposal).
 //!
 //! Each grid point runs [`PAIRS`] interleaved (full, delta) pairs; its
 //! speedup is the median per-pair ratio. Ungated layer rows follow: ns
-//! per ground-truth enumeration of fixed family instances, float
-//! `enumerate_equilibria` at 6×6 and 8×8 and exact `enumerate_exact`
-//! at 4×4 (the oracle behind every cold request's coverage figure).
+//! per delta-path SA iteration on the paper's modified prisoner's
+//! dilemma (8×8, paper preset, I = 12), the `anneal_paper` workload's
+//! inner loop; and ns per ground-truth enumeration of fixed family
+//! instances, float `enumerate_equilibria` at 6×6 and 8×8 and exact
+//! `enumerate_exact` at 4×4 (the oracle behind every cold request's
+//! coverage figure).
 //! Emits `BENCH_sa_hotpath.json` (schema v2, `cnash_bench::measure`)
 //! and exits 0 when every check and gate passes; [`HARNESS`]
 //! (`--help`) declares what exits 1 and 2 mean.
 
-use cnash_anneal::delta::{simulated_annealing_delta, DeltaEnergy};
+use cnash_anneal::delta::simulated_annealing_delta;
 use cnash_anneal::engine::{simulated_annealing, SaOptions};
 use cnash_anneal::moves::GridStrategyPair;
 use cnash_bench::measure::{fail, paired, Estimate, Harness, Paired, Report, Side};
-use cnash_core::{CNashConfig, CNashSolver};
+use cnash_core::{CNashConfig, CNashSolver, NashSolver};
 use cnash_game::exact_enum::enumerate_exact;
 use cnash_game::families::Family;
+use cnash_game::games;
 use cnash_game::generators::random_integer_game;
 use cnash_game::support_enum::enumerate_equilibria;
 use cnash_qubo::annealer::{anneal, anneal_incremental, AnnealParams};
@@ -78,11 +84,12 @@ fn bench_crossbar(label: &str, n: usize, max_payoff: u32, iterations: usize, see
         record_trace: false,
         record_hits: false,
     };
-    paired(PAIRS, |side| match side {
+    let (mut full, mut delta) = (None, None);
+    let samples = paired(PAIRS, |side| match side {
         // Full path: two-phase re-evaluation per proposal.
         Side::A => {
             let start = Instant::now();
-            black_box(simulated_annealing(
+            full = Some(simulated_annealing(
                 init.clone(),
                 |s| solver.evaluate(s),
                 |s, r| s.neighbour(r),
@@ -96,31 +103,19 @@ fn bench_crossbar(label: &str, n: usize, max_payoff: u32, iterations: usize, see
                 .delta_evaluator(init.clone())
                 .expect("geometry matches");
             let start = Instant::now();
-            let delta = simulated_annealing_delta(&mut evaluator, &opts);
-            let ns = ns_per(start, iterations);
-            // Equivalence, two layers. (1) The incrementally maintained
-            // energy must equal a from-scratch rebuild at the final state
-            // bit for bit — the delta subsystem's core invariant. (2)
-            // Pointwise pipeline agreement: the full pipeline evaluated at
-            // the delta walk's best state must agree with the delta energy
-            // there up to FP reassociation and ADC rounding-tie noise (the
-            // walks themselves legitimately diverge, deltas being
-            // differently-rounded reals).
-            let scratch = solver
-                .delta_evaluator(delta.final_state.clone())
-                .expect("geometry matches")
-                .energy();
-            let pointwise = (solver.evaluate(&delta.best_state) - delta.best_energy).abs();
-            if scratch != delta.final_energy || pointwise >= 0.05 {
-                fail(&format!(
-                    "{label}: delta path diverged from full evaluation \
-                     (rebuild {scratch} vs maintained {}, pointwise gap {pointwise})",
-                    delta.final_energy
-                ));
-            }
-            ns
+            delta = Some(simulated_annealing_delta(&mut evaluator, &opts));
+            ns_per(start, iterations)
         }
-    })
+    });
+    // Both paths add the same fixed-point integers and digitise them
+    // once, so the delta energies equal full re-evaluation bitwise and
+    // the two walks must be identical, not merely close.
+    if full != delta {
+        fail(&format!(
+            "{label}: delta path diverged from full evaluation"
+        ));
+    }
+    samples
 }
 
 /// Times the QUBO annealer at one variable count / coupling density.
@@ -165,19 +160,36 @@ fn record(report: &mut Report, label: String, samples: Paired) -> f64 {
     speedup
 }
 
-/// Timed calls per enumeration layer row.
-const ENUM_SAMPLES: usize = 9;
+/// Timed calls per layer row.
+const ROW_SAMPLES: usize = 9;
 
-/// Median and P10–P90 ns of [`ENUM_SAMPLES`] calls of `f`.
-fn per_call<T>(f: impl Fn() -> T) -> Estimate {
-    let ns: Vec<f64> = (0..ENUM_SAMPLES)
+/// Median and P10–P90 ns per unit of [`ROW_SAMPLES`] calls of `f`, each
+/// doing `units` units of work.
+fn per_unit<T>(units: usize, f: impl Fn() -> T) -> Estimate {
+    let ns: Vec<f64> = (0..ROW_SAMPLES)
         .map(|_| {
             let start = Instant::now();
             black_box(f());
-            ns_per(start, 1)
+            ns_per(start, units)
         })
         .collect();
     Estimate::of(&ns)
+}
+
+/// Adds the paper workload's iteration row: ns per SA iteration of
+/// `CNashSolver::run` (always the delta path) on the paper's largest
+/// game, the modified prisoner's dilemma (8×8), under the paper preset
+/// at I = 12 — the per-iteration cost behind every Table 1 /
+/// Figs. 8–10 run.
+fn record_paper_iteration(report: &mut Report, seed: u64) {
+    eprintln!("measuring paper MPD 8x8 SA iteration...");
+    let config = CNashConfig::paper(12);
+    let solver = CNashSolver::new(&games::modified_prisoners_dilemma(), config, seed)
+        .expect("paper game maps onto hardware");
+    report.entry(
+        "anneal-paper-mpd-8x8 delta",
+        per_unit(config.iterations, || solver.run(seed)),
+    );
 }
 
 /// Adds the enumeration layer rows: ns per call of each ground-truth
@@ -193,13 +205,13 @@ fn record_enumeration(report: &mut Report) {
     let (g4, g6, g8) = (game(4), game(6), game(8));
     report.entry(
         "enumerate-float-6x6",
-        per_call(|| enumerate_equilibria(&g6, 1e-9)),
+        per_unit(1, || enumerate_equilibria(&g6, 1e-9)),
     );
     report.entry(
         "enumerate-float-8x8",
-        per_call(|| enumerate_equilibria(&g8, 1e-9)),
+        per_unit(1, || enumerate_equilibria(&g8, 1e-9)),
     );
-    report.entry("enumerate-exact-4x4", per_call(|| enumerate_exact(&g4)));
+    report.entry("enumerate-exact-4x4", per_unit(1, || enumerate_exact(&g4)));
 }
 
 /// `(actions per side, max payoff, SA iterations)` crossbar grid points,
@@ -247,6 +259,7 @@ fn main() {
         let samples = bench_qubo(&label, vars, density, sweeps, seed);
         record(&mut report, label, samples);
     }
+    record_paper_iteration(&mut report, seed);
     record_enumeration(&mut report);
     report.finish();
 }

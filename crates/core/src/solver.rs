@@ -264,37 +264,32 @@ impl CNashSolver {
     /// the true Nash gap.
     ///
     /// This is the *reference* pipeline — a from-scratch `O(n·m)` read
-    /// per call, kept for equivalence checks and single-state studies.
-    /// Production runs ([`NashSolver::run`]) drive
-    /// [`CNashSolver::delta_evaluator`] instead.
+    /// per call ([`BiCrossbar::energy`]), kept for equivalence checks and
+    /// single-state studies. Production runs ([`NashSolver::run`]) drive
+    /// [`CNashSolver::delta_evaluator`] instead, which reports bitwise
+    /// the same energy at every state.
     pub fn evaluate(&self, state: &GridStrategyPair) -> f64 {
-        let pc = state.p_counts();
-        let qc = state.q_counts();
-        let ph1 = self
-            .hardware
-            .phase_one(pc, qc)
-            .expect("state geometry matches the hardware");
-        let ph2 = self
-            .hardware
-            .phase_two(pc, qc)
-            .expect("state geometry matches the hardware");
-        let (alpha, beta) = if self.config.use_wta {
-            (
-                self.wta_row.eval(&ph1.row_payoffs).value,
-                self.wta_col.eval(&ph1.col_payoffs).value,
-            )
-        } else {
-            let exact_max = |v: &[f64]| v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            (exact_max(&ph1.row_payoffs), exact_max(&ph1.col_payoffs))
-        };
-        alpha + beta - ph2.row_value - ph2.col_value
+        self.hardware
+            .energy(state.p_counts(), state.q_counts(), &self.phase_one_max())
+            .expect("state geometry matches the hardware")
+    }
+
+    /// The Phase-1 maxima of this solver: its WTA trees, or the exact max
+    /// when the `use_wta` ablation switch is off.
+    fn phase_one_max(&self) -> WtaMax<'_> {
+        WtaMax {
+            row: &self.wta_row,
+            col: &self.wta_col,
+            use_wta: self.config.use_wta,
+        }
     }
 
     /// Builds the incremental evaluator of this solver's pipeline at
-    /// `state`: the same physics as [`CNashSolver::evaluate`], but a
-    /// single-unit move updates only the touched rows/columns
-    /// (`O((n+m)·log nm)` instead of `O(n·m)` per SA proposal). This is
-    /// the evaluation path [`NashSolver::run`] drives at every game size.
+    /// `state`: the same physics and bitwise the same energies as
+    /// [`CNashSolver::evaluate`], but a single-unit move updates only the
+    /// touched rows/columns' fixed-point sums (`O(n+m)` instead of
+    /// `O(n·m)` per SA proposal). This is the evaluation path
+    /// [`NashSolver::run`] drives at every game size.
     ///
     /// # Errors
     ///
@@ -304,12 +299,11 @@ impl CNashSolver {
         &self,
         state: GridStrategyPair,
     ) -> Result<DeltaBiCrossbar<'_, WtaMax<'_>>, CoreError> {
-        let max = WtaMax {
-            row: &self.wta_row,
-            col: &self.wta_col,
-            use_wta: self.config.use_wta,
-        };
-        Ok(DeltaBiCrossbar::new(&self.hardware, state, max)?)
+        Ok(DeltaBiCrossbar::new(
+            &self.hardware,
+            state,
+            self.phase_one_max(),
+        )?)
     }
 
     /// Per-iteration latency of this instance (s).
@@ -456,7 +450,6 @@ impl NashSolver for IdealSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnash_anneal::delta::DeltaEnergy;
     use cnash_game::games;
 
     #[test]
@@ -511,10 +504,11 @@ mod tests {
 
     #[test]
     fn delta_run_matches_full_reevaluation_bitwise() {
-        // The incremental evaluator against the full driver re-evaluating
-        // every candidate from scratch through the same canonical
-        // pipeline: identical trajectories, bit for bit — with the full
-        // paper noise model (variability + 8-bit ADC + WTA trees) on.
+        // The incremental evaluator against the full driver re-reading
+        // every candidate from scratch through `evaluate`, the reference
+        // two-phase pipeline: identical trajectories, bit for bit — with
+        // the full paper noise model (variability + 8-bit ADC + WTA
+        // trees) on.
         let g = games::battle_of_the_sexes();
         let s = CNashSolver::new(&g, CNashConfig::paper(12).with_iterations(400), 3).unwrap();
         for seed in 0..3u64 {
@@ -530,7 +524,7 @@ mod tests {
             let init = GridStrategyPair::random(2, 2, 12, &mut rng).unwrap();
             let full = simulated_annealing(
                 init.clone(),
-                |st| s.delta_evaluator(st.clone()).expect("geometry").energy(),
+                |st| s.evaluate(st),
                 |st, r| st.neighbour(r),
                 &opts,
             );

@@ -66,6 +66,49 @@ impl AdcSpec {
     }
 }
 
+/// Multiply-form ADC quantizer, the conversion of every bi-crossbar
+/// read: the reciprocals of [`AdcSpec::convert`]'s divisions are fixed
+/// per array, so a conversion (one per action per SA proposal) is two
+/// multiplies and a round instead of two `fdiv`s.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Quantizer {
+    Ideal,
+    Uniform {
+        to_code: f64,
+        from_code: f64,
+        full_scale: f64,
+    },
+}
+
+impl Quantizer {
+    pub(crate) fn from_spec(spec: &AdcSpec) -> Self {
+        match *spec {
+            AdcSpec::Ideal => Quantizer::Ideal,
+            AdcSpec::Uniform { bits, full_scale } => {
+                let levels = (1u64 << bits) as f64 - 1.0;
+                Quantizer::Uniform {
+                    to_code: levels / full_scale,
+                    from_code: full_scale / levels,
+                    full_scale,
+                }
+            }
+        }
+    }
+
+    /// The quantized current of `current`.
+    #[inline]
+    pub(crate) fn convert(&self, current: f64) -> f64 {
+        match *self {
+            Quantizer::Ideal => current,
+            Quantizer::Uniform {
+                to_code,
+                from_code,
+                full_scale,
+            } => (current.clamp(0.0, full_scale) * to_code).round() * from_code,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,9 +8,23 @@
 //! activated rectangles* (the unary mapping activates row and column-group
 //! prefixes), the array keeps only 2-D prefix sums per payoff element —
 //! `O(n·m·(I+1)²)` values — and a full VMV read costs `O(n·m)` lookups.
-//! The naive cell-by-cell reader re-derives the cells from the stream and
-//! is kept for verification and fault-injection studies; the tests assert
-//! the two paths agree to floating-point accuracy.
+//!
+//! # Fixed-point currents
+//!
+//! The tables hold `i64` multiples of a per-array power-of-two LSB, not
+//! `f64` amperes. A source line sums its cells in no order, and neither
+//! does integer addition: a read is one exact integer sum, converted to
+//! amperes once, in front of the ADC. Every reader — [`Crossbar::read_mv`],
+//! [`Crossbar::read_vmv`], the bi-crossbar's phase reads and the
+//! incremental evaluator, which moves a sum in `O(1)` per touched term —
+//! thus sees bitwise the same current for the same activation. The LSB
+//! keeps the largest possible read below `2^50`, so every entry and
+//! every read converts between `f64` and `i64` exactly (see
+//! [`Crossbar::rebuild_prefix`]).
+//!
+//! The naive cell-by-cell reader re-derives the cells from the stream in
+//! `f64` and is kept for verification and fault-injection studies; the
+//! tests assert the two paths agree to floating-point accuracy.
 
 use crate::bank::DeviceCells;
 use crate::error::CrossbarError;
@@ -32,6 +46,48 @@ pub fn unit_current(params: &CellParams) -> f64 {
     .output_current(true, true)
 }
 
+/// Bound on any read, in LSBs (a read sums one entry per element): half
+/// of [`to_fixed`]'s exact `2^51` range, so entries rounding past their
+/// element's corner still convert exactly, and far below `2^53`.
+const FIXED_POINT_LIMIT: f64 = (1u64 << 50) as f64;
+
+/// LSBs per ampere for an array whose largest read current is `bound`:
+/// the power of two `s` that puts `bound · s` in `[2^49, 2^50)`. A power
+/// of two keeps `f64 → i64` exact up to the final rounding and
+/// `i64 → f64` a plain scaling.
+///
+/// # Errors
+///
+/// Returns [`CrossbarError::InvalidConfig`] when no LSB keeps `bound`
+/// below `2^50` — a non-finite current, or one beyond `f64`'s exponent
+/// range — instead of letting a read go wrong.
+fn fixed_point_scale(bound: f64) -> Result<f64, CrossbarError> {
+    if bound == 0.0 {
+        return Ok(1.0);
+    }
+    // `⌊log₂ bound⌋` from the exponent field (subnormals count as the
+    // smallest normal exponent; the clamp below covers them).
+    let exponent = ((bound.to_bits() >> 52) & 0x7ff) as i64 - 1023;
+    let shift = (49 - exponent).clamp(-1022, 1023);
+    let scale = f64::from_bits(((shift + 1023) as u64) << 52);
+    if bound.is_finite() && bound > 0.0 && bound * scale < FIXED_POINT_LIMIT {
+        Ok(scale)
+    } else {
+        Err(CrossbarError::InvalidConfig(format!(
+            "read current bound {bound:e} A has no fixed-point LSB below 2^50"
+        )))
+    }
+}
+
+/// Rounds a scaled current with `|scaled| < 2^51` to the nearest integer
+/// LSB (ties to even). Adding `1.5 · 2^52` lands in the binade of
+/// consecutive-integer `f64`s, so the addition rounds and the bit
+/// pattern's offset is the integer: no `round` call or saturating cast.
+fn to_fixed(scaled: f64) -> i64 {
+    const SHIFT: f64 = 6_755_399_441_055_744.0; // 1.5 · 2^52
+    (scaled + SHIFT).to_bits() as i64 - SHIFT.to_bits() as i64
+}
+
 /// A simulated FeFET crossbar storing one (quantized) payoff matrix.
 #[derive(Debug, Clone)]
 pub struct Crossbar {
@@ -46,22 +102,22 @@ pub struct Crossbar {
     /// Injected faults as `(stream cell index, forced current)`, sorted
     /// by index; a fault overrides the cell's sampled current.
     faults: Vec<(usize, f64)>,
-    /// Per-element `(I+1)×(I+1)` prefix tables, element-major.
-    prefix: Vec<f64>,
+    /// Per-element `(I+1)×(I+1)` prefix tables in LSBs, element-major.
+    prefix: Vec<i64>,
     /// Column-major mirror of `prefix` (same values, elements ordered
     /// `(ej, ei)`). The incremental evaluator refreshes whole *columns*
     /// of an array after a move; in the row-major table those blocks sit
     /// a full matrix row apart (a TLB miss per element at 64×64), in the
     /// mirror they are contiguous.
-    prefix_colmajor: Vec<f64>,
-    /// Compact all-word-lines slice of `prefix` (`r = I` fixed), used by
-    /// Phase-1 readers and the incremental evaluator: `(I+1)` values per
-    /// element, element-major. ~`I+1`× smaller than the full tables, so
-    /// the per-move scattered accesses of the delta path stay cache
-    /// resident.
-    mv_prefix: Vec<f64>,
-    /// Column-major mirror of `mv_prefix`.
-    mv_prefix_colmajor: Vec<f64>,
+    prefix_colmajor: Vec<i64>,
+    /// Compact all-word-lines slice of `prefix_colmajor` (`r = I`
+    /// fixed), used by Phase-1 readers and the incremental evaluator:
+    /// `(I+1)` values per element, elements ordered `(ej, ei)`. ~`I+1`×
+    /// smaller than the full tables, so the per-move scattered accesses
+    /// of the delta path stay cache resident.
+    mv_prefix_colmajor: Vec<i64>,
+    /// Amperes per table unit (a power of two).
+    lsb: f64,
     phys_rows: usize,
     phys_cols: usize,
     nominal_on: f64,
@@ -78,7 +134,9 @@ impl Crossbar {
     /// # Errors
     ///
     /// Returns [`CrossbarError::ElementOverflow`] if an element exceeds
-    /// `spec.cells_per_element`.
+    /// `spec.cells_per_element`, and [`CrossbarError::InvalidConfig`] if
+    /// the array's currents admit no fixed-point LSB (see
+    /// [`Crossbar::rebuild_prefix`]).
     pub fn build(
         payoffs: QuantizedPayoffs,
         spec: MappingSpec,
@@ -108,13 +166,13 @@ impl Crossbar {
             faults: Vec::new(),
             prefix: Vec::new(),
             prefix_colmajor: Vec::new(),
-            mv_prefix: Vec::new(),
             mv_prefix_colmajor: Vec::new(),
+            lsb: 1.0,
             phys_rows,
             phys_cols,
             nominal_on: unit_current(&cell_params),
         };
-        xbar.rebuild_prefix();
+        xbar.rebuild_prefix()?;
         Ok(xbar)
     }
 
@@ -157,72 +215,98 @@ impl Crossbar {
 
     /// Recomputes the prefix tables from the cell currents. Call after
     /// fault injection.
-    pub fn rebuild_prefix(&mut self) {
+    ///
+    /// The rectangle sums are accumulated in `f64`, then each entry is
+    /// rounded once to the array's fixed-point LSB, chosen from the
+    /// largest possible read: the sum over elements of each element's
+    /// `(I, I)` corner. Cell currents are non-negative, so a corner
+    /// bounds its element's entries (up to rounding, which the limit's
+    /// factor-two margin absorbs), and a non-finite current reaches the
+    /// corner through the prefix recurrence.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CrossbarError::InvalidConfig`] when no power-of-two LSB
+    /// keeps that bound below `2^50` (a non-finite cell current, say);
+    /// the tables are then left as they were.
+    pub fn rebuild_prefix(&mut self) -> Result<(), CrossbarError> {
         let (n, m) = (self.payoffs.rows(), self.payoffs.cols());
         let i = self.spec.intervals as usize;
         let side = i + 1;
-        let mut prefix = vec![0.0; n * m * side * side];
+        let block = side * side;
+        let mut prefix = vec![0.0; n * m * block];
         self.for_each_group(|ei, ej, r, g, currents| {
-            let mut block = 0.0;
+            let mut sum = 0.0;
             for &current in currents {
-                block += current;
+                sum += current;
             }
-            let base = (ei * m + ej) * side * side;
+            let base = (ei * m + ej) * block;
             let (r, g) = (r + 1, g + 1);
             prefix[base + r * side + g] =
-                block + prefix[base + (r - 1) * side + g] + prefix[base + r * side + (g - 1)]
+                sum + prefix[base + (r - 1) * side + g] + prefix[base + r * side + (g - 1)]
                     - prefix[base + (r - 1) * side + (g - 1)];
         });
-        self.prefix = prefix;
+        self.set_tables(prefix)
+    }
+
+    /// Rounds the `f64` prefix tables `prefix` to fixed point and derives
+    /// the mirrors (see [`Crossbar::rebuild_prefix`]).
+    fn set_tables(&mut self, prefix: Vec<f64>) -> Result<(), CrossbarError> {
+        let (n, m) = (self.payoffs.rows(), self.payoffs.cols());
+        let i = self.spec.intervals as usize;
+        let side = i + 1;
         let block = side * side;
-        let mut prefix_colmajor = vec![0.0; n * m * block];
-        let mut mv_prefix = vec![0.0; n * m * side];
-        let mut mv_prefix_colmajor = vec![0.0; n * m * side];
+        let bound: f64 = prefix.chunks_exact(block).map(|e| e[block - 1].abs()).sum();
+        let scale = fixed_point_scale(bound)?;
+        // Same-size element type: the conversion reuses the allocation.
+        let prefix: Vec<i64> = prefix.into_iter().map(|x| to_fixed(x * scale)).collect();
+        let mut prefix_colmajor = vec![0; n * m * block];
+        let mut mv_prefix_colmajor = vec![0; n * m * side];
         for ei in 0..n {
             for ej in 0..m {
                 let e = ei * m + ej;
                 let et = ej * n + ei;
                 prefix_colmajor[et * block..(et + 1) * block]
-                    .copy_from_slice(&self.prefix[e * block..(e + 1) * block]);
-                let mv_row = &self.prefix[e * block + i * side..e * block + (i + 1) * side];
-                mv_prefix[e * side..(e + 1) * side].copy_from_slice(mv_row);
+                    .copy_from_slice(&prefix[e * block..(e + 1) * block]);
+                let mv_row = &prefix[e * block + i * side..(e + 1) * block];
                 mv_prefix_colmajor[et * side..(et + 1) * side].copy_from_slice(mv_row);
             }
         }
+        self.prefix = prefix;
         self.prefix_colmajor = prefix_colmajor;
-        self.mv_prefix = mv_prefix;
         self.mv_prefix_colmajor = mv_prefix_colmajor;
+        self.lsb = 1.0 / scale;
+        Ok(())
     }
 
-    /// Summed current of the `(r, g)`-activated sub-block of element
-    /// `(ei, ej)` — the quantity the incremental evaluator's reduction
-    /// trees hold as leaves.
-    pub(crate) fn prefix_at(&self, ei: usize, ej: usize, r: u32, g: u32) -> f64 {
+    /// Summed current, in LSBs, of the `(r, g)`-activated sub-block of
+    /// element `(ei, ej)`.
+    pub(crate) fn prefix_at(&self, ei: usize, ej: usize, r: u32, g: u32) -> i64 {
         let side = self.spec.intervals as usize + 1;
         let base = (ei * self.payoffs.cols() + ej) * side * side;
         self.prefix[base + r as usize * side + g as usize]
     }
 
-    /// [`Crossbar::prefix_at`] with all `I` word lines of the row group
-    /// active (`r = I`) — the Phase-1 case, served from the compact
-    /// cache.
-    pub(crate) fn mv_prefix_at(&self, ei: usize, ej: usize, g: u32) -> f64 {
-        let side = self.spec.intervals as usize + 1;
-        self.mv_prefix[(ei * self.payoffs.cols() + ej) * side + g as usize]
-    }
-
     /// [`Crossbar::prefix_at`] served from the column-major mirror —
-    /// bitwise the same value, contiguous when walking one column.
-    pub(crate) fn prefix_at_colmajor(&self, ei: usize, ej: usize, r: u32, g: u32) -> f64 {
+    /// the same value, contiguous when walking one column.
+    pub(crate) fn prefix_at_colmajor(&self, ei: usize, ej: usize, r: u32, g: u32) -> i64 {
         let side = self.spec.intervals as usize + 1;
         let base = (ej * self.payoffs.rows() + ei) * side * side;
         self.prefix_colmajor[base + r as usize * side + g as usize]
     }
 
-    /// [`Crossbar::mv_prefix_at`] served from the column-major mirror.
-    pub(crate) fn mv_prefix_at_colmajor(&self, ei: usize, ej: usize, g: u32) -> f64 {
+    /// [`Crossbar::prefix_at`] with all `I` word lines of the row group
+    /// active (`r = I`) — the Phase-1 case, served from the compact
+    /// column-major cache.
+    pub(crate) fn mv_prefix_at_colmajor(&self, ei: usize, ej: usize, g: u32) -> i64 {
         let side = self.spec.intervals as usize + 1;
         self.mv_prefix_colmajor[(ej * self.payoffs.rows() + ei) * side + g as usize]
+    }
+
+    /// The current, in amperes, of a fixed-point sum of table entries —
+    /// the one `i64 → f64` conversion of every read.
+    pub(crate) fn to_current(&self, sum: i64) -> f64 {
+        sum as f64 * self.lsb
     }
 
     /// Mapping spec.
@@ -269,16 +353,10 @@ impl Crossbar {
         Ok(())
     }
 
-    /// Total source-line current of a VMV read: row group `i` drives its
-    /// first `p[i]` word lines, column group `j` its first `q[j]`
-    /// `t`-wide data-line groups (Phase 2 of the operation flow).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::ActivationMismatch`] on bad counts.
-    pub fn read_vmv(&self, p: &[u32], q: &[u32]) -> Result<f64, CrossbarError> {
+    /// Fixed-point total of a VMV read (see [`Crossbar::read_vmv`]).
+    pub(crate) fn vmv_sum(&self, p: &[u32], q: &[u32]) -> Result<i64, CrossbarError> {
         self.check_counts(p, q)?;
-        let mut total = 0.0;
+        let mut total = 0;
         for (ei, &pc) in p.iter().enumerate() {
             if pc == 0 {
                 continue;
@@ -290,6 +368,32 @@ impl Crossbar {
         Ok(total)
     }
 
+    /// Fixed-point per-row totals of an MV read (see
+    /// [`Crossbar::read_mv`]).
+    pub(crate) fn mv_sums(&self, q: &[u32]) -> Result<Vec<i64>, CrossbarError> {
+        let full = vec![self.spec.intervals; self.payoffs.rows()];
+        self.check_counts(&full, q)?;
+        // Column by column, so the compact table is read contiguously.
+        let mut sums = vec![0; full.len()];
+        for (ej, &qc) in q.iter().enumerate() {
+            for (ei, sum) in sums.iter_mut().enumerate() {
+                *sum += self.mv_prefix_at_colmajor(ei, ej, qc);
+            }
+        }
+        Ok(sums)
+    }
+
+    /// Total source-line current of a VMV read: row group `i` drives its
+    /// first `p[i]` word lines, column group `j` its first `q[j]`
+    /// `t`-wide data-line groups (Phase 2 of the operation flow).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CrossbarError::ActivationMismatch`] on bad counts.
+    pub fn read_vmv(&self, p: &[u32], q: &[u32]) -> Result<f64, CrossbarError> {
+        Ok(self.to_current(self.vmv_sum(p, q)?))
+    }
+
     /// Per-row-group source-line currents with *all* word lines active —
     /// Phase 1's matrix-vector read producing `M q` (one current per
     /// action of the row player).
@@ -298,28 +402,18 @@ impl Crossbar {
     ///
     /// Returns [`CrossbarError::ActivationMismatch`] on bad counts.
     pub fn read_mv(&self, q: &[u32]) -> Result<Vec<f64>, CrossbarError> {
-        let full = vec![self.spec.intervals; self.payoffs.rows()];
-        self.check_counts(&full, q)?;
-        Ok((0..self.payoffs.rows())
-            .map(|ei| {
-                (0..self.payoffs.cols())
-                    .map(|ej| self.mv_prefix_at(ei, ej, q[ej]))
-                    .sum()
-            })
+        Ok(self
+            .mv_sums(q)?
+            .into_iter()
+            .map(|sum| self.to_current(sum))
             .collect())
     }
 
-    /// Converts a Phase-2 current to stored payoff units
-    /// (`current / (I² · i_on)` recovers `pᵀM'q`).
+    /// Converts a Phase-2 current, or a Phase-1 per-row current (all `I`
+    /// word lines of a group active give `I²·(M'q)_i·i_on`), to stored
+    /// payoff units: `current / (I² · i_on)` recovers `pᵀM'q`.
     pub fn current_to_value(&self, current: f64) -> f64 {
         current / self.spec.current_denominator(self.nominal_on)
-    }
-
-    /// Converts a Phase-1 per-row current to stored units. With all `I`
-    /// word lines of a group active the current is `I²·(M'q)_i·i_on` —
-    /// the same denominator as Phase 2.
-    pub fn mv_current_to_value(&self, current: f64) -> f64 {
-        self.current_to_value(current)
     }
 
     /// Largest read current of a *simplex-feasible* activation — the
@@ -467,7 +561,7 @@ mod tests {
             .mat_vec(&[2.0 / 3.0, 1.0 / 3.0, 0.0])
             .unwrap();
         for (c, e) in currents.iter().zip(exact) {
-            assert!((xbar.mv_current_to_value(*c) - e).abs() < 1e-3);
+            assert!((xbar.current_to_value(*c) - e).abs() < 1e-3);
         }
     }
 
@@ -554,7 +648,7 @@ mod tests {
             Crossbar::build(qp, spec, CellParams::default(), VariabilityModel::none(), 0).unwrap();
         let before = xbar.read_vmv(&[2], &[2]).unwrap();
         xbar.inject_dead_cell(0, 0);
-        xbar.rebuild_prefix();
+        xbar.rebuild_prefix().unwrap();
         let after = xbar.read_vmv(&[2], &[2]).unwrap();
         assert!(after < before);
         assert!((before - after - xbar.nominal_on_current()).abs() < 1e-8 * before);
@@ -569,7 +663,7 @@ mod tests {
             Crossbar::build(qp, spec, CellParams::default(), VariabilityModel::none(), 0).unwrap();
         let before = xbar.read_vmv(&[2], &[2]).unwrap();
         xbar.inject_stuck_on_cell(1, 1);
-        xbar.rebuild_prefix();
+        xbar.rebuild_prefix().unwrap();
         let after = xbar.read_vmv(&[2], &[2]).unwrap();
         assert!(after > before + 0.9 * xbar.nominal_on_current());
     }
@@ -607,18 +701,58 @@ mod tests {
         }
     }
 
+    #[test]
+    fn fixed_point_bound_holds_at_2_pow_20_cells() {
+        // Pure arithmetic, nothing programmed: 2 × 2 elements at I = 512
+        // and t = 1 is 2^20 cells, every one carrying 10 A.
+        let (elements, corner_cells) = (4, 512 * 512);
+        assert_eq!(elements * corner_cells, 1 << 20);
+        let corner = corner_cells as f64 * 10.0;
+        let scale = fixed_point_scale(elements as f64 * corner).unwrap();
+        let top = elements as f64 * corner * scale;
+        assert!((FIXED_POINT_LIMIT / 2.0..FIXED_POINT_LIMIT).contains(&top));
+        // The largest read — every element's corner — converts exactly
+        // both ways.
+        let read = to_fixed(corner * scale) * elements as i64;
+        assert_eq!(read as f64, top);
+        let rounded = [2.5, 3.5, -1.4, -0.2, 1e15 + 0.6].map(to_fixed);
+        assert_eq!(rounded, [2, 4, -1, 0, 1_000_000_000_000_001]);
+        // And one cell is still resolved to better than 2^-29 of itself.
+        assert!(10.0 * scale > (1u64 << 29) as f64);
+        for bound in [f64::INFINITY, f64::NAN, -1.0] {
+            assert!(fixed_point_scale(bound).is_err(), "{bound}");
+        }
+        for bound in [0.0, f64::MIN_POSITIVE / 1e6, 1e-300, 1e300, f64::MAX] {
+            assert!(bound * fixed_point_scale(bound).unwrap() < FIXED_POINT_LIMIT);
+        }
+    }
+
+    #[test]
+    fn unrepresentable_fault_current_is_an_error_not_a_wrap() {
+        let (q, t) = payoffs(2, 2, 3);
+        let mut xbar = build(&q, 4, t, VariabilityModel::none(), 0xB00E);
+        let before = xbar.read_vmv(&[4, 0], &[2, 2]).unwrap();
+        xbar.force_cell(0, 0, f64::INFINITY);
+        assert!(matches!(
+            xbar.rebuild_prefix(),
+            Err(CrossbarError::InvalidConfig(_))
+        ));
+        // The tables are left as they were.
+        assert_eq!(xbar.read_vmv(&[4, 0], &[2, 2]).unwrap(), before);
+    }
+
     // ------------------------------------------------------------------
     // Device stream bank: bit-identity with sequential per-cell sampling.
     // The bank is process-wide; each test below draws its own seeds, so
     // parallel tests share no stream (only the LRU order).
     // ------------------------------------------------------------------
 
-    /// Cell currents (row-major over the physical array) and the four
+    /// Cell currents (row-major over the physical array) and the `f64`
     /// prefix tables of a build that samples one fresh sequential stream
     /// cell by cell — the programming model the bank must reproduce.
     struct Reference {
         cells: Vec<f64>,
-        tables: [Vec<f64>; 4],
+        prefix: Vec<f64>,
     }
 
     fn reference(
@@ -673,27 +807,7 @@ mod tests {
                 }
             }
         }
-        let mut colmajor = vec![0.0; n * m * block];
-        let mut mv = vec![0.0; n * m * side];
-        let mut mv_colmajor = vec![0.0; n * m * side];
-        for ei in 0..n {
-            for ej in 0..m {
-                let (e, et) = (ei * m + ej, ej * n + ei);
-                colmajor[et * block..(et + 1) * block]
-                    .copy_from_slice(&prefix[e * block..(e + 1) * block]);
-                let row = &prefix[e * block + i * side..e * block + block];
-                mv[e * side..(e + 1) * side].copy_from_slice(row);
-                mv_colmajor[et * side..(et + 1) * side].copy_from_slice(row);
-            }
-        }
-        Reference {
-            cells,
-            tables: [prefix, colmajor, mv, mv_colmajor],
-        }
-    }
-
-    fn bits(values: &[f64]) -> Vec<u64> {
-        values.iter().map(|v| v.to_bits()).collect()
+        Reference { cells, prefix }
     }
 
     /// Payoffs `0..=top` spread over an `n × m` matrix, stored in `t =
@@ -728,15 +842,12 @@ mod tests {
         for (phys, current) in cells {
             assert_eq!(current.to_bits(), want.cells[phys].to_bits(), "cell {phys}");
         }
-        let got = [
-            &xbar.prefix,
-            &xbar.prefix_colmajor,
-            &xbar.mv_prefix,
-            &xbar.mv_prefix_colmajor,
-        ];
-        for (table, (got, want)) in got.iter().zip(&want.tables).enumerate() {
-            assert!(bits(got) == bits(want), "prefix table {table} differs");
-        }
+        // The reference tables through the same fixed-point rounding
+        // (which also derives the mirrors from them).
+        let mut want_xbar = xbar.clone();
+        want_xbar.set_tables(want.prefix).unwrap();
+        assert!(xbar.prefix == want_xbar.prefix, "prefix tables differ");
+        assert_eq!(xbar.lsb, want_xbar.lsb);
     }
 
     fn build(
@@ -790,7 +901,7 @@ mod tests {
             build(&small, 12, ts, v, other);
         }
         let after = build(&large, 12, tl, v, 0xB004);
-        assert!(bits(&before.prefix) == bits(&after.prefix));
+        assert!(before.prefix == after.prefix);
         assert_matches_reference(&after, v, 0xB004);
     }
 
@@ -833,7 +944,7 @@ mod tests {
         xbar.inject_stuck_on_cell(5, 17);
         xbar.inject_dead_cell(5, 17);
         xbar.inject_dead_cell(0, 0);
-        xbar.rebuild_prefix();
+        xbar.rebuild_prefix().unwrap();
         let naive = xbar.read_vmv_naive(&[4, 4], &[4, 4]).unwrap();
         assert!(naive < clean);
         let fast = xbar.read_vmv(&[4, 4], &[4, 4]).unwrap();

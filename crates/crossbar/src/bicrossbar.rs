@@ -6,9 +6,15 @@
 //! ADC conversion and de-normalisation; the `max(·)` of Phase 1 is either
 //! exact (for standalone use and ablation) or delegated to the WTA tree by
 //! `cnash-core`.
+//!
+//! Every read is an exact fixed-point sum ([mod@crate::array]) that meets
+//! `f64` once, at its ADC. [`BiCrossbar::energy`] and the incremental
+//! [`DeltaBiCrossbar`](crate::DeltaBiCrossbar) share that conversion and
+//! the Eq. 9 combination, so they agree bit for bit.
 
-use crate::adc::AdcSpec;
+use crate::adc::{AdcSpec, Quantizer};
 use crate::array::Crossbar;
+use crate::delta::{ExactMax, PhaseOneMax};
 use crate::error::CrossbarError;
 use crate::mapping::MappingSpec;
 use crate::offset::QuantizedPayoffs;
@@ -107,10 +113,12 @@ pub struct PhaseTwoRead {
 pub struct BiCrossbar {
     xbar_m: Crossbar,
     xbar_nt: Crossbar,
-    adc_m: AdcSpec,
-    adc_nt: AdcSpec,
+    adc_m: Quantizer,
+    adc_nt: Quantizer,
+    /// Quantized current → offset payoff units, `1/(I²·i_on·scale)`.
+    k_m: f64,
+    k_nt: f64,
     intervals: u32,
-    scale: f64,
 }
 
 impl BiCrossbar {
@@ -143,22 +151,24 @@ impl BiCrossbar {
             seed.wrapping_add(NT_SEED_OFFSET),
         )?;
 
-        let mk_adc = |x: &Crossbar| -> Result<AdcSpec, CrossbarError> {
-            match config.adc_bits {
-                None => Ok(AdcSpec::Ideal),
-                Some(bits) => AdcSpec::uniform(bits, x.full_scale_current()),
-            }
+        let mk_adc = |x: &Crossbar| -> Result<Quantizer, CrossbarError> {
+            Ok(Quantizer::from_spec(&match config.adc_bits {
+                None => AdcSpec::Ideal,
+                Some(bits) => AdcSpec::uniform(bits, x.full_scale_current())?,
+            }))
         };
-        let adc_m = mk_adc(&xbar_m)?;
-        let adc_nt = mk_adc(&xbar_nt)?;
+        let to_value = |x: &Crossbar| {
+            1.0 / (spec.current_denominator(x.nominal_on_current()) * config.payoff_scale)
+        };
 
         Ok(Self {
+            adc_m: mk_adc(&xbar_m)?,
+            adc_nt: mk_adc(&xbar_nt)?,
+            k_m: to_value(&xbar_m),
+            k_nt: to_value(&xbar_nt),
             xbar_m,
             xbar_nt,
-            adc_m,
-            adc_nt,
             intervals: config.intervals,
-            scale: config.payoff_scale,
         })
     }
 
@@ -184,19 +194,27 @@ impl BiCrossbar {
         &self.xbar_nt
     }
 
-    /// ADC in front of the `M` array.
-    pub(crate) fn adc_m(&self) -> &AdcSpec {
-        &self.adc_m
+    /// ADC output (quantized current, A) of an `M`-array read whose
+    /// fixed-point total is `sum`.
+    #[inline]
+    pub(crate) fn digitise_m(&self, sum: i64) -> f64 {
+        self.adc_m.convert(self.xbar_m.to_current(sum))
     }
 
-    /// ADC in front of the `Nᵀ` array.
-    pub(crate) fn adc_nt(&self) -> &AdcSpec {
-        &self.adc_nt
+    /// [`BiCrossbar::digitise_m`] for the `Nᵀ` array.
+    #[inline]
+    pub(crate) fn digitise_nt(&self, sum: i64) -> f64 {
+        self.adc_nt.convert(self.xbar_nt.to_current(sum))
     }
 
-    /// Payoff quantization scale.
-    pub(crate) fn scale(&self) -> f64 {
-        self.scale
+    /// Eq. 9 from the Phase-1 maxima `alpha`, `beta` (quantized
+    /// currents, A) and the two Phase-2 fixed-point totals, in offset
+    /// payoff units. Offsets cancel, so this estimates the true Nash gap.
+    #[inline]
+    pub(crate) fn combine(&self, alpha: f64, beta: f64, vmv_m: i64, vmv_nt: i64) -> f64 {
+        alpha * self.k_m + beta * self.k_nt
+            - self.digitise_m(vmv_m) * self.k_m
+            - self.digitise_nt(vmv_nt) * self.k_nt
     }
 
     /// Grid activation counts for a strategy pair.
@@ -225,15 +243,15 @@ impl BiCrossbar {
     pub fn phase_one(&self, p: &[u32], q: &[u32]) -> Result<PhaseOneRead, CrossbarError> {
         let row_payoffs = self
             .xbar_m
-            .read_mv(q)?
+            .mv_sums(q)?
             .into_iter()
-            .map(|c| self.xbar_m.mv_current_to_value(self.adc_m.convert(c)) / self.scale)
+            .map(|sum| self.digitise_m(sum) * self.k_m)
             .collect();
         let col_payoffs = self
             .xbar_nt
-            .read_mv(p)?
+            .mv_sums(p)?
             .into_iter()
-            .map(|c| self.xbar_nt.mv_current_to_value(self.adc_nt.convert(c)) / self.scale)
+            .map(|sum| self.digitise_nt(sum) * self.k_nt)
             .collect();
         Ok(PhaseOneRead {
             row_payoffs,
@@ -248,13 +266,49 @@ impl BiCrossbar {
     ///
     /// Returns an activation error if counts do not fit the geometry.
     pub fn phase_two(&self, p: &[u32], q: &[u32]) -> Result<PhaseTwoRead, CrossbarError> {
-        let cm = self.xbar_m.read_vmv(p, q)?;
+        let cm = self.xbar_m.vmv_sum(p, q)?;
         // N^T is stored transposed: rows are column-player actions.
-        let cnt = self.xbar_nt.read_vmv(q, p)?;
+        let cnt = self.xbar_nt.vmv_sum(q, p)?;
         Ok(PhaseTwoRead {
-            row_value: self.xbar_m.current_to_value(self.adc_m.convert(cm)) / self.scale,
-            col_value: self.xbar_nt.current_to_value(self.adc_nt.convert(cnt)) / self.scale,
+            row_value: self.digitise_m(cm) * self.k_m,
+            col_value: self.digitise_nt(cnt) * self.k_nt,
         })
+    }
+
+    /// Full two-phase hardware evaluation of the MAX-QUBO objective
+    /// (Eq. 9) at grid activation counts, with the Phase-1 maxima taken
+    /// by `max` over the digitised currents — where the analog WTA trees
+    /// physically operate. The from-scratch `O(n·m)` reference of the
+    /// incremental [`DeltaBiCrossbar`](crate::DeltaBiCrossbar), which
+    /// reports bitwise the same energy at the same state.
+    ///
+    /// # Errors
+    ///
+    /// Returns an activation error if counts do not fit the geometry.
+    pub fn energy(
+        &self,
+        p: &[u32],
+        q: &[u32],
+        max: &impl PhaseOneMax,
+    ) -> Result<f64, CrossbarError> {
+        let row: Vec<f64> = self
+            .xbar_m
+            .mv_sums(q)?
+            .into_iter()
+            .map(|sum| self.digitise_m(sum))
+            .collect();
+        let col: Vec<f64> = self
+            .xbar_nt
+            .mv_sums(p)?
+            .into_iter()
+            .map(|sum| self.digitise_nt(sum))
+            .collect();
+        Ok(self.combine(
+            max.max_row(&row),
+            max.max_col(&col),
+            self.xbar_m.vmv_sum(p, q)?,
+            self.xbar_nt.vmv_sum(q, p)?,
+        ))
     }
 
     /// Full two-phase hardware evaluation of the MAX-QUBO objective
@@ -270,19 +324,7 @@ impl BiCrossbar {
     /// Propagates activation/grid errors.
     pub fn nash_gap(&self, p: &MixedStrategy, q: &MixedStrategy) -> Result<f64, CrossbarError> {
         let (pc, qc) = self.activations(p, q)?;
-        let ph1 = self.phase_one(&pc, &qc)?;
-        let ph2 = self.phase_two(&pc, &qc)?;
-        let alpha = ph1
-            .row_payoffs
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let beta = ph1
-            .col_payoffs
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        Ok(alpha + beta - ph2.row_value - ph2.col_value)
+        self.energy(&pc, &qc, &ExactMax)
     }
 }
 

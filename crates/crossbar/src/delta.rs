@@ -1,33 +1,33 @@
 //! Incremental bi-crossbar evaluation of the MAX-QUBO objective.
 //!
-//! The full two-phase evaluation ([`BiCrossbar::nash_gap`] /
-//! `cnash-core`'s solver pipeline) performs `O(n·m)` prefix lookups per
-//! SA iteration, although Algorithm 1 only ever moves a *single* `1/I`
+//! The full two-phase evaluation ([`BiCrossbar::energy`] /
+//! [`BiCrossbar::nash_gap`]) performs `O(n·m)` prefix lookups per SA
+//! iteration, although Algorithm 1 only ever moves a *single* `1/I`
 //! probability unit between two actions of one player. A unit move
 //! touches exactly two activation counts, so of the `n·m` per-block
 //! currents feeding each read:
 //!
-//! * a **column-player** move changes two leaves in every Phase-1 row sum
-//!   of the `M` array and `2n` leaves of each Phase-2 sum, leaving the
+//! * a **column-player** move changes two terms in every Phase-1 row sum
+//!   of the `M` array and `2n` terms of each Phase-2 sum, leaving the
 //!   `Nᵀ` Phase-1 side untouched;
 //! * a **row-player** move is the mirror image.
 //!
-//! [`DeltaBiCrossbar`] caches every per-data-line accumulated current in
-//! [`PairwiseSum`] reduction trees and updates only the touched leaves —
-//! `O((n+m)·log(nm))` per proposal instead of `O(n·m)`. Because the trees
-//! are fixed-shape pairwise reductions, the incrementally maintained
-//! energy is **bit-identical** to rebuilding the evaluator from scratch
-//! at the same state (the crate's property tests pin this), so the fast
-//! path is a drop-in replacement, not an approximation.
+//! [`DeltaBiCrossbar`] keeps every data-line sum as one fixed-point
+//! `i64` ([mod@crate::array]) and moves it by `new − old` table entries
+//! per touched term — `O(n + m)` per proposal; a revert restores the
+//! saved totals. Integer sums have no rounding order, so the maintained
+//! sums are the ones a from-scratch read computes, and the digitisation
+//! and Eq. 9 combination are [`BiCrossbar`]'s own: the energy is
+//! **bit-identical** to [`BiCrossbar::energy`] and to a fresh build at
+//! the same state (the crate's property tests pin both).
 //!
 //! The Phase-1 maxima are pluggable through [`PhaseOneMax`]: this crate
 //! ships the exact [`ExactMax`] (ablation reference); `cnash-core`
 //! routes them through its WTA-tree model.
 
-use crate::adc::AdcSpec;
 use crate::bicrossbar::BiCrossbar;
 use crate::error::CrossbarError;
-use cnash_anneal::delta::{DeltaEnergy, PairwiseSum};
+use cnash_anneal::delta::DeltaEnergy;
 use cnash_anneal::moves::{GridStrategyPair, StrategyMove};
 use rand::rngs::StdRng;
 
@@ -59,63 +59,57 @@ impl PhaseOneMax for ExactMax {
     }
 }
 
-/// Precomputed multiply-form ADC quantizer: [`AdcSpec::convert`] divides
-/// by the full scale and level count on every conversion, which at one
-/// conversion per action per proposal makes `fdiv` latency a measurable
-/// slice of the hot path. The reciprocal constants are fixed per
-/// evaluator, so quantization becomes two multiplies and a round.
-#[derive(Debug, Clone, Copy)]
-enum AdcQuant {
-    Ideal,
-    Uniform {
-        to_code: f64,
-        from_code: f64,
-        full_scale: f64,
-    },
+/// The Phase-1 side of one array: a fixed-point sum and its digitised
+/// read per action, each with a spare buffer. A proposal writes the
+/// candidate into the spares and swaps them in; a revert swaps back.
+#[derive(Debug, Clone)]
+struct PhaseOneSide {
+    sums: Vec<i64>,
+    reads: Vec<f64>,
+    spare_sums: Vec<i64>,
+    spare_reads: Vec<f64>,
 }
 
-impl AdcQuant {
-    fn from_spec(spec: &AdcSpec) -> Self {
-        match *spec {
-            AdcSpec::Ideal => AdcQuant::Ideal,
-            AdcSpec::Uniform { bits, full_scale } => {
-                let levels = (1u64 << bits) as f64 - 1.0;
-                AdcQuant::Uniform {
-                    to_code: levels / full_scale,
-                    from_code: full_scale / levels,
-                    full_scale,
-                }
-            }
+impl PhaseOneSide {
+    fn new(sums: Vec<i64>, digitise: impl Fn(i64) -> f64) -> Self {
+        let reads = sums.iter().map(|&sum| digitise(sum)).collect();
+        Self {
+            spare_sums: sums.clone(),
+            spare_reads: vec![0.0; sums.len()],
+            sums,
+            reads,
         }
     }
 
-    #[inline]
-    fn convert(&self, current: f64) -> f64 {
-        match *self {
-            AdcQuant::Ideal => current,
-            AdcQuant::Uniform {
-                to_code,
-                from_code,
-                full_scale,
-            } => (current.clamp(0.0, full_scale) * to_code).round() * from_code,
+    /// Moves sum `k` by `delta(k)` and re-digitises it; the previous
+    /// sums and reads stay in the spares for a revert.
+    fn shift(&mut self, delta: impl Fn(usize) -> i64, digitise: impl Fn(i64) -> f64) {
+        let spares = self.spare_sums.iter_mut().zip(&mut self.spare_reads);
+        for (k, ((next, read), &sum)) in spares.zip(&self.sums).enumerate() {
+            *next = sum + delta(k);
+            *read = digitise(*next);
         }
+        self.swap();
+    }
+
+    fn swap(&mut self) {
+        std::mem::swap(&mut self.sums, &mut self.spare_sums);
+        std::mem::swap(&mut self.reads, &mut self.spare_reads);
     }
 }
 
-/// Undo log of one pending proposal.
-#[derive(Debug, Clone, Default)]
-struct Undo {
-    /// `(tree index, leaf, old value)` for the changed Phase-1 side.
-    phase1: Vec<(usize, usize, f64)>,
-    /// `(leaf, old value)` in the `M` Phase-2 tree.
-    vmv_m: Vec<(usize, f64)>,
-    /// `(leaf, old value)` in the `Nᵀ` Phase-2 tree.
-    vmv_nt: Vec<(usize, f64)>,
-    /// Pre-proposal quantized Phase-1 currents of the changed side.
-    old_reads: Vec<f64>,
-    old_alpha: f64,
-    old_beta: f64,
-    old_energy: f64,
+/// The scalar state of an evaluation, saved whole before a proposal so
+/// that a revert restores it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Totals {
+    /// Phase-2 `M` sum of `prefix_m(i, j, p_i, q_j)`.
+    vmv_m: i64,
+    /// Phase-2 `Nᵀ` sum of `prefix_nt(j, i, q_j, p_i)`.
+    vmv_nt: i64,
+    /// Phase-1 maxima of the two sides' digitised currents.
+    alpha: f64,
+    beta: f64,
+    energy: f64,
 }
 
 /// Incremental evaluator of the bi-crossbar MAX-QUBO energy at a grid
@@ -129,31 +123,15 @@ pub struct DeltaBiCrossbar<'x, M: PhaseOneMax = ExactMax> {
     hw: &'x BiCrossbar,
     max: M,
     state: GridStrategyPair,
-    /// Phase-1 `M` row sums: tree `i` holds `prefix_m(i, j, I, q_j)` over
+    /// Phase-1 `M` row sums: row `i` sums `prefix_m(i, j, I, q_j)` over
     /// `j`.
-    row_mv: Vec<PairwiseSum>,
-    /// Phase-1 `Nᵀ` row sums: tree `j` holds `prefix_nt(j, i, I, p_i)`
+    rows: PhaseOneSide,
+    /// Phase-1 `Nᵀ` row sums: row `j` sums `prefix_nt(j, i, I, p_i)`
     /// over `i`.
-    col_mv: Vec<PairwiseSum>,
-    /// Phase-2 `M` sum: leaf `i·m + j` holds `prefix_m(i, j, p_i, q_j)`.
-    vmv_m: PairwiseSum,
-    /// Phase-2 `Nᵀ` sum: leaf `j·n + i` holds `prefix_nt(j, i, q_j, p_i)`.
-    vmv_nt: PairwiseSum,
-    /// ADC-quantized Phase-1 currents per action, kept in sync with the
-    /// trees — the inputs of the `α`/`β` reduction.
-    row_reads: Vec<f64>,
-    col_reads: Vec<f64>,
-    /// Multiply-form quantizers of the two arrays' ADCs.
-    quant_m: AdcQuant,
-    quant_nt: AdcQuant,
-    /// Current → offset-payoff-unit scale factors (`1/(I²·i_on·scale)`).
-    k_m: f64,
-    k_nt: f64,
-    alpha: f64,
-    beta: f64,
-    energy: f64,
+    cols: PhaseOneSide,
+    totals: Totals,
+    saved: Totals,
     pending: Option<StrategyMove>,
-    undo: Undo,
 }
 
 impl<'x, M: PhaseOneMax> DeltaBiCrossbar<'x, M> {
@@ -165,8 +143,7 @@ impl<'x, M: PhaseOneMax> DeltaBiCrossbar<'x, M> {
     /// Returns [`CrossbarError::ActivationMismatch`] if the state's
     /// action counts or interval count do not match the hardware.
     pub fn new(hw: &'x BiCrossbar, state: GridStrategyPair, max: M) -> Result<Self, CrossbarError> {
-        let n = hw.array_m().payoffs().rows();
-        let m = hw.array_m().payoffs().cols();
+        let (n, m) = hw.actions();
         if state.p_counts().len() != n || state.q_counts().len() != m {
             return Err(CrossbarError::ActivationMismatch(format!(
                 "state is {}x{} for {n}x{m} hardware",
@@ -183,145 +160,84 @@ impl<'x, M: PhaseOneMax> DeltaBiCrossbar<'x, M> {
         }
         let p = state.p_counts();
         let q = state.q_counts();
-
-        let row_mv: Vec<PairwiseSum> = (0..n)
-            .map(|i| {
-                let terms: Vec<f64> = (0..m)
-                    .map(|j| hw.array_m().mv_prefix_at(i, j, q[j]))
-                    .collect();
-                PairwiseSum::new(&terms)
-            })
-            .collect();
-        let col_mv: Vec<PairwiseSum> = (0..m)
-            .map(|j| {
-                let terms: Vec<f64> = (0..n)
-                    .map(|i| hw.array_nt().mv_prefix_at(j, i, p[i]))
-                    .collect();
-                PairwiseSum::new(&terms)
-            })
-            .collect();
-        let vmv_m_terms: Vec<f64> = (0..n)
-            .flat_map(|i| (0..m).map(move |j| (i, j)))
-            .map(|(i, j)| hw.array_m().prefix_at(i, j, p[i], q[j]))
-            .collect();
-        let vmv_nt_terms: Vec<f64> = (0..m)
-            .flat_map(|j| (0..n).map(move |i| (j, i)))
-            .map(|(j, i)| hw.array_nt().prefix_at(j, i, q[j], p[i]))
-            .collect();
-
-        let spec_m = hw.array_m().spec();
-        let spec_nt = hw.array_nt().spec();
-        let mut eval = Self {
+        let rows = PhaseOneSide::new(hw.array_m().mv_sums(q)?, |s| hw.digitise_m(s));
+        let cols = PhaseOneSide::new(hw.array_nt().mv_sums(p)?, |s| hw.digitise_nt(s));
+        let vmv_m = hw.array_m().vmv_sum(p, q)?;
+        let vmv_nt = hw.array_nt().vmv_sum(q, p)?;
+        let alpha = max.max_row(&rows.reads);
+        let beta = max.max_col(&cols.reads);
+        let totals = Totals {
+            vmv_m,
+            vmv_nt,
+            alpha,
+            beta,
+            energy: hw.combine(alpha, beta, vmv_m, vmv_nt),
+        };
+        Ok(Self {
             hw,
             max,
             state,
-            row_mv,
-            col_mv,
-            vmv_m: PairwiseSum::new(&vmv_m_terms),
-            vmv_nt: PairwiseSum::new(&vmv_nt_terms),
-            row_reads: vec![0.0; n],
-            col_reads: vec![0.0; m],
-            quant_m: AdcQuant::from_spec(hw.adc_m()),
-            quant_nt: AdcQuant::from_spec(hw.adc_nt()),
-            k_m: 1.0 / (spec_m.current_denominator(hw.array_m().nominal_on_current()) * hw.scale()),
-            k_nt: 1.0
-                / (spec_nt.current_denominator(hw.array_nt().nominal_on_current()) * hw.scale()),
-            alpha: 0.0,
-            beta: 0.0,
-            energy: 0.0,
+            rows,
+            cols,
+            totals,
+            saved: totals,
             pending: None,
-            undo: Undo::default(),
-        };
-        for i in 0..n {
-            eval.row_reads[i] = eval.quant_m.convert(eval.row_mv[i].total());
-        }
-        for j in 0..m {
-            eval.col_reads[j] = eval.quant_nt.convert(eval.col_mv[j].total());
-        }
-        eval.alpha = eval.max.max_row(&eval.row_reads) * eval.k_m;
-        eval.beta = eval.max.max_col(&eval.col_reads) * eval.k_nt;
-        eval.energy = eval.combine();
-        Ok(eval)
+        })
     }
 
-    /// The hardware being evaluated.
-    pub fn hardware(&self) -> &BiCrossbar {
-        self.hw
-    }
-
-    /// ADC-quantized Phase-1 row-player currents (`Mq` reads).
-    pub fn row_reads(&self) -> &[f64] {
-        &self.row_reads
-    }
-
-    /// ADC-quantized Phase-1 column-player currents (`Nᵀp` reads).
-    pub fn col_reads(&self) -> &[f64] {
-        &self.col_reads
-    }
-
-    /// Combines the cached phase values into the Eq. 9 energy (offsets
-    /// cancel, so this estimates the true Nash gap).
-    fn combine(&self) -> f64 {
-        let v2m = self.quant_m.convert(self.vmv_m.total()) * self.k_m;
-        let v2nt = self.quant_nt.convert(self.vmv_nt.total()) * self.k_nt;
-        self.alpha + self.beta - v2m - v2nt
-    }
-
-    /// Applies a pending move's tree updates for a changed row-player
-    /// count at action `a`.
+    /// Moves the sums for a row-player transfer that took action `from`
+    /// from count `p_from + 1` to `p_from` and action `to` from
+    /// `p_to − 1` to `p_to`.
     ///
-    /// Phase-2 leaves with the column player's count at zero are exactly
-    /// `0.0` before and after the move (the prefix tables' zero row), so
-    /// skipping them leaves the trees bitwise untouched — the simplex
-    /// spreads at most `I` units over the actions, which caps the
-    /// touched Phase-2 leaves per move at `I` regardless of game size.
-    fn refresh_p_leaf(&mut self, a: usize) {
-        let p = self.state.p_counts()[a];
-        let n = self.row_reads.len();
-        let m = self.col_reads.len();
-        for j in 0..m {
-            // `a` is a *column* of the Nᵀ array here: the mirror makes
-            // the per-j loads contiguous.
-            let leaf = self.hw.array_nt().mv_prefix_at_colmajor(j, a, p);
-            let old = self.col_mv[j].update(a, leaf);
-            self.undo.phase1.push((j, a, old));
-
-            let q = self.state.q_counts()[j];
+    /// Phase-2 terms with the column player's count at zero are `0`
+    /// before and after the move (the prefix tables' zero row), so they
+    /// are skipped — the simplex spreads at most `I` units over the
+    /// actions, which caps the touched Phase-2 terms per move at `2I`
+    /// regardless of game size.
+    fn move_p(&mut self, from: usize, to: usize) {
+        let hw = self.hw;
+        let (xm, xnt) = (hw.array_m(), hw.array_nt());
+        let p = self.state.p_counts();
+        let (pf, pt) = (p[from], p[to]);
+        // `from`/`to` are *columns* of the Nᵀ array here: the mirrors
+        // make the per-j loads contiguous.
+        let mv = |j, a, c| xnt.mv_prefix_at_colmajor(j, a, c);
+        self.cols.shift(
+            |j| mv(j, from, pf) - mv(j, from, pf + 1) + mv(j, to, pt) - mv(j, to, pt - 1),
+            |sum| hw.digitise_nt(sum),
+        );
+        for (j, &q) in self.state.q_counts().iter().enumerate() {
             if q == 0 {
                 continue;
             }
-            let vm = self.hw.array_m().prefix_at(a, j, p, q);
-            let old = self.vmv_m.update(a * m + j, vm);
-            self.undo.vmv_m.push((a * m + j, old));
-
-            let vnt = self.hw.array_nt().prefix_at_colmajor(j, a, q, p);
-            let old = self.vmv_nt.update(j * n + a, vnt);
-            self.undo.vmv_nt.push((j * n + a, old));
+            let vm = |a, c| xm.prefix_at(a, j, c, q);
+            let vnt = |a, c| xnt.prefix_at_colmajor(j, a, q, c);
+            self.totals.vmv_m += vm(from, pf) - vm(from, pf + 1) + vm(to, pt) - vm(to, pt - 1);
+            self.totals.vmv_nt += vnt(from, pf) - vnt(from, pf + 1) + vnt(to, pt) - vnt(to, pt - 1);
         }
     }
 
-    /// Mirror of [`Self::refresh_p_leaf`] for a column-player count.
-    fn refresh_q_leaf(&mut self, a: usize) {
-        let q = self.state.q_counts()[a];
-        let n = self.row_reads.len();
-        let m = self.col_reads.len();
-        for i in 0..n {
-            // `a` is a column of the M array: contiguous in the mirror.
-            let leaf = self.hw.array_m().mv_prefix_at_colmajor(i, a, q);
-            let old = self.row_mv[i].update(a, leaf);
-            self.undo.phase1.push((i, a, old));
-
-            let p = self.state.p_counts()[i];
+    /// Mirror of [`Self::move_p`] for a column-player transfer.
+    fn move_q(&mut self, from: usize, to: usize) {
+        let hw = self.hw;
+        let (xm, xnt) = (hw.array_m(), hw.array_nt());
+        let q = self.state.q_counts();
+        let (qf, qt) = (q[from], q[to]);
+        // `from`/`to` are columns of the M array: contiguous in the
+        // mirrors.
+        let mv = |i, a, c| xm.mv_prefix_at_colmajor(i, a, c);
+        self.rows.shift(
+            |i| mv(i, from, qf) - mv(i, from, qf + 1) + mv(i, to, qt) - mv(i, to, qt - 1),
+            |sum| hw.digitise_m(sum),
+        );
+        for (i, &p) in self.state.p_counts().iter().enumerate() {
             if p == 0 {
                 continue;
             }
-            let vm = self.hw.array_m().prefix_at_colmajor(i, a, p, q);
-            let old = self.vmv_m.update(i * m + a, vm);
-            self.undo.vmv_m.push((i * m + a, old));
-
-            let vnt = self.hw.array_nt().prefix_at(a, i, q, p);
-            let old = self.vmv_nt.update(a * n + i, vnt);
-            self.undo.vmv_nt.push((a * n + i, old));
+            let vm = |a, c| xm.prefix_at_colmajor(i, a, p, c);
+            let vnt = |a, c| xnt.prefix_at(a, i, c, p);
+            self.totals.vmv_m += vm(from, qf) - vm(from, qf + 1) + vm(to, qt) - vm(to, qt - 1);
+            self.totals.vmv_nt += vnt(from, qf) - vnt(from, qf + 1) + vnt(to, qt) - vnt(to, qt - 1);
         }
     }
 }
@@ -335,7 +251,7 @@ impl<M: PhaseOneMax> DeltaEnergy for DeltaBiCrossbar<'_, M> {
     }
 
     fn energy(&self) -> f64 {
-        self.energy
+        self.totals.energy
     }
 
     fn sample_move(&self, rng: &mut StdRng) -> Option<StrategyMove> {
@@ -344,70 +260,34 @@ impl<M: PhaseOneMax> DeltaEnergy for DeltaBiCrossbar<'_, M> {
 
     fn propose(&mut self, mv: StrategyMove) -> f64 {
         assert!(self.pending.is_none(), "proposal already pending");
-        self.undo.old_alpha = self.alpha;
-        self.undo.old_beta = self.beta;
-        self.undo.old_energy = self.energy;
+        self.saved = self.totals;
         self.state.apply(mv);
-
         if mv.row_player {
-            self.refresh_p_leaf(mv.from);
-            self.refresh_p_leaf(mv.to);
-            // Keep the stale reads for revert with an O(1) buffer swap.
-            std::mem::swap(&mut self.undo.old_reads, &mut self.col_reads);
-            self.col_reads.resize(self.col_mv.len(), 0.0);
-            for (read, tree) in self.col_reads.iter_mut().zip(&self.col_mv) {
-                *read = self.quant_nt.convert(tree.total());
-            }
-            self.beta = self.max.max_col(&self.col_reads) * self.k_nt;
+            self.move_p(mv.from, mv.to);
+            self.totals.beta = self.max.max_col(&self.cols.reads);
         } else {
-            self.refresh_q_leaf(mv.from);
-            self.refresh_q_leaf(mv.to);
-            std::mem::swap(&mut self.undo.old_reads, &mut self.row_reads);
-            self.row_reads.resize(self.row_mv.len(), 0.0);
-            for (read, tree) in self.row_reads.iter_mut().zip(&self.row_mv) {
-                *read = self.quant_m.convert(tree.total());
-            }
-            self.alpha = self.max.max_row(&self.row_reads) * self.k_m;
+            self.move_q(mv.from, mv.to);
+            self.totals.alpha = self.max.max_row(&self.rows.reads);
         }
-
-        self.energy = self.combine();
+        let t = &mut self.totals;
+        t.energy = self.hw.combine(t.alpha, t.beta, t.vmv_m, t.vmv_nt);
         self.pending = Some(mv);
-        self.energy - self.undo.old_energy
+        t.energy - self.saved.energy
     }
 
     fn commit(&mut self) {
         assert!(self.pending.take().is_some(), "no pending proposal");
-        self.undo.phase1.clear();
-        self.undo.vmv_m.clear();
-        self.undo.vmv_nt.clear();
     }
 
     fn revert(&mut self) {
         let mv = self.pending.take().expect("no pending proposal");
         self.state.unapply(mv);
-        let phase1_trees: &mut [PairwiseSum] = if mv.row_player {
-            &mut self.col_mv
+        if mv.row_player {
+            self.cols.swap();
         } else {
-            &mut self.row_mv
-        };
-        for (tree, leaf, old) in self.undo.phase1.drain(..) {
-            phase1_trees[tree].update(leaf, old);
+            self.rows.swap();
         }
-        for (leaf, old) in self.undo.vmv_m.drain(..) {
-            self.vmv_m.update(leaf, old);
-        }
-        for (leaf, old) in self.undo.vmv_nt.drain(..) {
-            self.vmv_nt.update(leaf, old);
-        }
-        let reads = if mv.row_player {
-            &mut self.col_reads
-        } else {
-            &mut self.row_reads
-        };
-        std::mem::swap(&mut self.undo.old_reads, reads);
-        self.alpha = self.undo.old_alpha;
-        self.beta = self.undo.old_beta;
-        self.energy = self.undo.old_energy;
+        self.totals = self.saved;
     }
 }
 
@@ -427,19 +307,17 @@ mod tests {
     #[test]
     fn matches_full_nash_gap_closely() {
         let g = games::battle_of_the_sexes();
-        let hw = BiCrossbar::build(&g, &CrossbarConfig::ideal(12), 0).unwrap();
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..20 {
-            let s = GridStrategyPair::random(2, 2, 12, &mut rng).unwrap();
-            let eval = DeltaBiCrossbar::new(&hw, s.clone(), ExactMax).unwrap();
-            let full = hw.nash_gap(&s.p_strategy(), &s.q_strategy()).unwrap();
-            // Same physics, different summation association: equal to FP
-            // reassociation noise.
-            assert!(
-                (eval.energy() - full).abs() < 1e-9,
-                "{} vs {full}",
-                eval.energy()
-            );
+        for cfg in [CrossbarConfig::ideal(12), CrossbarConfig::paper(12)] {
+            let hw = BiCrossbar::build(&g, &cfg, 0).unwrap();
+            let mut rng = StdRng::seed_from_u64(4);
+            for _ in 0..20 {
+                let s = GridStrategyPair::random(2, 2, 12, &mut rng).unwrap();
+                let eval = DeltaBiCrossbar::new(&hw, s.clone(), ExactMax).unwrap();
+                let full = hw.nash_gap(&s.p_strategy(), &s.q_strategy()).unwrap();
+                // One integer sum per read, one shared digitisation:
+                // equal, not merely close.
+                assert_eq!(eval.energy(), full);
+            }
         }
     }
 

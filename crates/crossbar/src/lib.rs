@@ -19,8 +19,11 @@
 //! shared by every array programmed on that seed: a seed's first build
 //! samples the stream, later builds are `O(n·m·I²·t)` table reads. Only
 //! per-block prefix sums, `O(n·m·(I+1)²)` values, are kept, so a read
-//! costs `O(n·m)` lookups instead of `O(cells)` — bit-exact with the naive
-//! cell-by-cell sum, which [mod@array]'s tests verify.
+//! costs `O(n·m)` lookups instead of `O(cells)` — equal to the naive
+//! cell-by-cell sum to floating-point accuracy, which [mod@array]'s tests
+//! verify. The sums are `i64` fixed-point currents, so every reader —
+//! the phase reads and the incremental [`DeltaBiCrossbar`] — adds the
+//! same integers and digitises bitwise the same current.
 //!
 //! # Example
 //!

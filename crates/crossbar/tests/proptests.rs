@@ -123,14 +123,16 @@ proptest! {
     }
 
     /// **Delta-vs-full equivalence (Eq. 9 hot path).** Over random
-    /// bimatrix games, hardware instances (ideal and full paper noise)
-    /// and random propose/commit/revert walks, the incrementally
-    /// maintained energy is *bit-identical* to a from-scratch full
-    /// evaluation at every visited state.
+    /// bimatrix games of 2–16 actions per side, hardware instances
+    /// (ideal and full paper noise) and random propose/commit/revert
+    /// walks, the incrementally maintained energy is *bit-identical* at
+    /// every visited state to a fresh evaluator build and to Eq. 9
+    /// assembled from the public `phase_one`/`phase_two` reads: every
+    /// path adds the same fixed-point integers and digitises them once.
     #[test]
     fn delta_walk_bit_identical_to_full_evaluation(
-        n in 2usize..5,
-        m in 2usize..5,
+        n in 2usize..=16,
+        m in 2usize..=16,
         seed in 0u64..200,
         paper in prop::bool::ANY,
         steps in 1usize..60,
@@ -149,6 +151,7 @@ proptest! {
             CrossbarConfig::ideal(12)
         };
         let hw = BiCrossbar::build(&game, &cfg, seed).expect("integer payoffs map");
+        let max = |v: &[f64]| v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD417A);
         let init = GridStrategyPair::random(n, m, 12, &mut rng).expect("non-empty");
         let mut eval = DeltaBiCrossbar::new(&hw, init, ExactMax).expect("geometry");
@@ -164,11 +167,18 @@ proptest! {
                 prop_assert_eq!(eval.energy(), before);
             }
             // Full evaluation: rebuild every cache from scratch at the
-            // current state. Must agree bit for bit.
+            // current state, and re-read both phases. Must agree bit for
+            // bit.
             let full = DeltaBiCrossbar::new(&hw, eval.state().clone(), ExactMax)
                 .expect("geometry")
                 .energy();
-            prop_assert_eq!(eval.energy(), full);
+            prop_assert_eq!(eval.energy().to_bits(), full.to_bits());
+            let (p, q) = (eval.state().p_counts(), eval.state().q_counts());
+            let ph1 = hw.phase_one(p, q).expect("read");
+            let ph2 = hw.phase_two(p, q).expect("read");
+            let two_phase =
+                max(&ph1.row_payoffs) + max(&ph1.col_payoffs) - ph2.row_value - ph2.col_value;
+            prop_assert_eq!(eval.energy().to_bits(), two_phase.to_bits());
         }
     }
 

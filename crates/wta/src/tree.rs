@@ -4,6 +4,10 @@ use crate::cell::{WtaCell, WtaConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Widest padded tree whose evaluation buffers live on the stack; wider
+/// trees fall back to the heap.
+const STACK_WIDTH: usize = 64;
+
 /// Result of one WTA tree evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WtaOutput {
@@ -84,7 +88,8 @@ impl WtaTree {
     /// offsets compound along the path exactly as in the analog tree. The
     /// reported `argmax` follows the winning path — with mismatches, two
     /// nearly equal inputs can legitimately resolve to the "wrong" winner,
-    /// which is part of the modelled non-ideality.
+    /// which is part of the modelled non-ideality. Allocation-free up to
+    /// 64 padded inputs (one SA iteration evaluates a tree per proposal).
     ///
     /// # Panics
     ///
@@ -98,31 +103,39 @@ impl WtaTree {
         );
         // Pad to the power of two with zero currents.
         let width = 1usize << self.levels;
-        let mut values: Vec<f64> = currents.to_vec();
-        values.resize(width, 0.0);
-        let mut winners: Vec<usize> = (0..width).collect();
+        let (mut value_stack, mut winner_stack) = ([0.0; STACK_WIDTH], [0; STACK_WIDTH]);
+        let (mut value_heap, mut winner_heap);
+        let (values, winners): (&mut [f64], &mut [usize]) = if width <= STACK_WIDTH {
+            (&mut value_stack[..width], &mut winner_stack[..width])
+        } else {
+            value_heap = vec![0.0; width];
+            winner_heap = vec![0; width];
+            (&mut value_heap, &mut winner_heap)
+        };
+        values[..currents.len()].copy_from_slice(currents);
+        for (k, winner) in winners.iter_mut().enumerate() {
+            *winner = k;
+        }
 
+        // Each round writes pair `k`'s result to slot `k`, which the
+        // round has already read (`k ≤ 2k`).
         let mut cell_idx = 0;
         let mut span = width;
         while span > 1 {
-            let mut next_values = Vec::with_capacity(span / 2);
-            let mut next_winners = Vec::with_capacity(span / 2);
             for k in 0..span / 2 {
                 let (i1, i2) = (values[2 * k], values[2 * k + 1]);
                 let cell = &self.cells[cell_idx];
                 cell_idx += 1;
-                next_values.push(cell.compare(i1, i2));
+                values[k] = cell.compare(i1, i2);
                 // The cross-coupled pair steers the larger *cell input*;
                 // at this point offsets from lower levels are already in
                 // i1/i2, so the comparison is on the afflicted values.
-                next_winners.push(if i1 >= i2 {
+                winners[k] = if i1 >= i2 {
                     winners[2 * k]
                 } else {
                     winners[2 * k + 1]
-                });
+                };
             }
-            values = next_values;
-            winners = next_winners;
             span /= 2;
         }
 
@@ -135,8 +148,8 @@ impl WtaTree {
 
     /// The maximum value alone — [`WtaTree::eval`] without the
     /// winning-path bookkeeping, for hot paths that only need the analog
-    /// max (one tournament buffer, no per-level allocations). Bitwise the
-    /// same value as `eval(currents).value`.
+    /// max, allocation-free under the same bound. Bitwise
+    /// the same value as `eval(currents).value`.
     ///
     /// # Panics
     ///
@@ -149,8 +162,15 @@ impl WtaTree {
             self.inputs
         );
         let width = 1usize << self.levels;
-        let mut values: Vec<f64> = currents.to_vec();
-        values.resize(width, 0.0);
+        let mut stack = [0.0; STACK_WIDTH];
+        let mut heap;
+        let values: &mut [f64] = if width <= STACK_WIDTH {
+            &mut stack[..width]
+        } else {
+            heap = vec![0.0; width];
+            &mut heap
+        };
+        values[..currents.len()].copy_from_slice(currents);
         let mut cell_idx = 0;
         let mut span = width;
         while span > 1 {
@@ -215,7 +235,9 @@ mod tests {
     #[test]
     fn eval_value_matches_eval_bitwise() {
         let cfg = WtaConfig::nominal();
-        for (inputs, seed) in [(1usize, 0u64), (3, 1), (8, 2), (11, 3), (64, 4)] {
+        // 64 inputs fill the stack buffer exactly; 65 pad to 128 and take
+        // the heap fallback.
+        for (inputs, seed) in [(1usize, 0u64), (3, 1), (8, 2), (11, 3), (64, 4), (65, 5)] {
             let t = WtaTree::build(inputs, &cfg, seed);
             let currents: Vec<f64> = (0..inputs).map(|k| (k as f64 * 0.37).sin().abs()).collect();
             assert_eq!(t.eval_value(&currents), t.eval(&currents).value);

@@ -33,7 +33,7 @@ fn dead_cells_cause_bounded_proportional_error() {
         let c = rng.random_range(0..cols);
         xbar.inject_dead_cell(r, c);
     }
-    xbar.rebuild_prefix();
+    xbar.rebuild_prefix().expect("faults fit the fixed point");
     let faulty = xbar.read_vmv(&p, &q).expect("read");
 
     let unit = xbar.nominal_on_current();
@@ -53,7 +53,7 @@ fn stuck_on_cells_inflate_bounded() {
     let clean = xbar.read_vmv(&p, &q).expect("read");
     xbar.inject_stuck_on_cell(0, 0);
     xbar.inject_stuck_on_cell(1, 1);
-    xbar.rebuild_prefix();
+    xbar.rebuild_prefix().expect("faults fit the fixed point");
     let faulty = xbar.read_vmv(&p, &q).expect("read");
     let unit = xbar.nominal_on_current();
     assert!(faulty >= clean - 1e-15);
